@@ -30,7 +30,6 @@
 #include "common/logging.h"
 #include "eval/experiment.h"
 #include "eval/evaluator.h"
-#include "eval/func_cache.h"
 #include "obs/metrics.h"
 #include "obs/trace_span.h"
 #include "runtime/thread_pool.h"
@@ -181,12 +180,11 @@ benchBanner(const char *what, const BenchOptions &bo)
 {
     std::printf("=== %s ===\n", what);
     std::printf("(synthetic reproduction; %d samples per cell; "
-                "%d threads; %s math; %s sim; %s cache; see "
+                "%d threads; %s math; %s sim; see "
                 "EXPERIMENTS.md for paper-vs-measured)\n\n",
                 bo.samples, ThreadPool::global().threads(),
                 kernels::mathBackendName(kernels::activeMathBackend()),
-                simBackendName(activeSimBackend()),
-                funcCacheModeName(activeFuncCacheMode()));
+                simBackendName(activeSimBackend()));
 }
 
 /**
@@ -261,13 +259,11 @@ class BenchRecorder
             "    \"samples\": %d,\n    \"threads\": %d,\n"
             "    \"gemm_backend\": \"%s\",\n"
             "    \"math_backend\": \"%s\",\n"
-            "    \"sim_backend\": \"%s\",\n"
-            "    \"func_cache\": \"%s\"\n  },\n",
+            "    \"sim_backend\": \"%s\"\n  },\n",
             samples_, ThreadPool::global().threads(),
             kernels::backendName(kernels::activeBackend()),
             kernels::mathBackendName(kernels::activeMathBackend()),
-            simBackendName(activeSimBackend()),
-            funcCacheModeName(activeFuncCacheMode()));
+            simBackendName(activeSimBackend()));
         std::fprintf(f, "  \"wall_ms\": %.3f,\n", wall_ms);
         std::fprintf(f, "  \"metrics\": {");
         for (size_t i = 0; i < metrics_.size(); ++i) {

@@ -76,35 +76,9 @@ Evaluator::runFunctional(const MethodConfig &method,
         panic("Evaluator::runFunctional: EvalOptions::samples must be "
               "positive (got %d)", opts_.samples);
     }
-    if (activeFuncCacheMode() == FuncCacheMode::Off) {
-        return runFunctionalDirect(method, pool);
-    }
     return FunctionalCache::instance().getOrCompute(
         functionalCacheKey(model_name_, dataset_name_, opts_, method),
         [&] { return runFunctionalBatched(method, pool); });
-}
-
-MethodEval
-Evaluator::runFunctionalDirect(const MethodConfig &method,
-                               ThreadPool *pool) const
-{
-    obs::TraceSpan span("eval.forward");
-    // Per-sample forward passes fan out across the pool; each task
-    // writes only its own slot.  The aggregation then runs serially
-    // in sample order, so every floating-point sum is evaluated in
-    // exactly the order the serial loop used — results are
-    // bit-identical at any thread count (threads=1 never spawns a
-    // thread at all).
-    std::vector<ForwardResult> forwards(
-        static_cast<size_t>(opts_.samples));
-    (pool ? *pool : ThreadPool::global()).parallelFor(
-        opts_.samples, [&](int64_t s) {
-            const VideoSample sample =
-                gen_.sample(static_cast<uint64_t>(s));
-            forwards[static_cast<size_t>(s)] =
-                model_.forward(sample, method, gen_.bank());
-        });
-    return aggregateForwards(method, forwards);
 }
 
 MethodEval
@@ -114,9 +88,10 @@ Evaluator::runFunctionalBatched(const MethodConfig &method,
     obs::TraceSpan span("eval.forward");
     // Contiguous chunks of samples packed through
     // VlmModel::forwardBatch.  Chunking only affects which GEMM a
-    // sample's rows ride in — forwardBatch is bit-identical to
-    // forward() at every batch split, so neither the chunk count nor
-    // the thread count ever changes a result.  The chunk size is
+    // sample's rows ride in — forwardBatch is bit-identical at every
+    // batch split, and the aggregation below runs serially in sample
+    // order, so neither the chunk count nor the thread count ever
+    // changes a result.  The chunk size is
     // locality-aware: packed projection panels cost ~1 KiB per token
     // row across xp/qp/kp/vp, and each sample's per-head probability
     // matrices already claim most of L2, so batching pays off only

@@ -59,11 +59,10 @@ class Evaluator
      * Samples fan out across @p pool (the global pool when null);
      * aggregates are bit-identical at every thread count.
      *
-     * With FOCUS_FUNC_CACHE=on (the default) the result is memoized
-     * in the process-wide FunctionalCache (eval/func_cache.h) and the
-     * samples run through VlmModel::forwardBatch; =off reproduces the
-     * historical per-sample path with no reuse layer.  Both paths
-     * return bit-identical values.
+     * The result is memoized in the process-wide FunctionalCache
+     * (eval/func_cache.h); a miss runs the samples through
+     * VlmModel::forwardBatch in locality-sized chunks.  Call
+     * FunctionalCache::instance().clear() to force a recomputation.
      */
     MethodEval runFunctional(const MethodConfig &method,
                              ThreadPool *pool = nullptr) const;
@@ -140,15 +139,11 @@ class Evaluator
      */
     std::shared_ptr<EvalMemos> memos_;
 
-    /** Historical per-sample functional run (FOCUS_FUNC_CACHE=off). */
-    MethodEval runFunctionalDirect(const MethodConfig &method,
-                                   ThreadPool *pool) const;
-
-    /** Batched functional run (cache-miss path when =on). */
+    /** Batched functional run (the cache-miss path). */
     MethodEval runFunctionalBatched(const MethodConfig &method,
                                     ThreadPool *pool) const;
 
-    /** Serial sample-order aggregation shared by both paths. */
+    /** Serial sample-order aggregation of per-sample results. */
     MethodEval
     aggregateForwards(const MethodConfig &method,
                       const std::vector<ForwardResult> &forwards) const;

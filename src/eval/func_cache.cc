@@ -1,9 +1,9 @@
 #include "eval/func_cache.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
-#include "common/env_dispatch.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "tensor/kernels.h"
@@ -14,16 +14,6 @@ namespace focus
 namespace
 {
 
-const char *const kModeNames[] = {"on", "off"};
-
-FuncCacheMode &
-modeRef()
-{
-    static FuncCacheMode mode = static_cast<FuncCacheMode>(
-        envBackendChoice("FOCUS_FUNC_CACHE", kModeNames, 2, 0));
-    return mode;
-}
-
 void
 appendDouble(std::string &out, double v)
 {
@@ -33,24 +23,6 @@ appendDouble(std::string &out, double v)
 }
 
 } // namespace
-
-const char *
-funcCacheModeName(FuncCacheMode m)
-{
-    return kModeNames[static_cast<int>(m)];
-}
-
-FuncCacheMode
-activeFuncCacheMode()
-{
-    return modeRef();
-}
-
-void
-setFuncCacheMode(FuncCacheMode m)
-{
-    modeRef() = m;
-}
 
 std::string
 methodSignature(const MethodConfig &m)
@@ -173,6 +145,15 @@ FunctionalCache::getOrCompute(const std::string &key,
                 auto it = map_.find(key);
                 if (it != map_.end() && it->second == entry) {
                     map_.erase(it);
+                    // Drop the key's eviction slot too: a retry pushes
+                    // a fresh one, and a stale earlier copy would make
+                    // evictOverflowLocked evict the retried entry
+                    // ahead of older ones.
+                    auto pos =
+                        std::find(order_.begin(), order_.end(), key);
+                    if (pos != order_.end()) {
+                        order_.erase(pos);
+                    }
                 }
             }
             cv_.notify_all();
@@ -244,13 +225,6 @@ FunctionalCache::capacity() const
 FunctionalCache::Stats
 FunctionalCache::stats() const
 {
-    if (activeFuncCacheMode() == FuncCacheMode::Off) {
-        // Bypassed: the cache serves nothing right now, so report
-        // zeros instead of the stale totals of an earlier On phase
-        // (see the header comment).  Internal counters are kept and
-        // resurface when the mode returns to On.
-        return Stats{};
-    }
     std::lock_guard<std::mutex> lock(mu_);
     Stats s;
     s.hits = hits_;

@@ -15,11 +15,10 @@
  * backends — so each distinct evaluation runs exactly once per
  * process and every later consumer gets the same doubles back.
  *
- * Gating follows the repo's backend-knob contract
- * (`common/env_dispatch.h`): `FOCUS_FUNC_CACHE=on|off`, default on.
- * `off` bypasses the reuse layer *and* the batched forward path in
- * `Evaluator::runFunctional`, reproducing the historical per-sample
- * evaluation byte for byte — CI diffs bench output across both modes.
+ * The cache is always on: a cached value is bit-identical to a fresh
+ * computation, so there is nothing to switch off.  Callers that need a
+ * fresh computation (tests, benchmarks timing the miss path) call
+ * `clear()`.
  *
  * Concurrency: `getOrCompute` is compute-once-per-key.  The first
  * caller computes outside the cache lock; concurrent callers for the
@@ -47,25 +46,6 @@
 
 namespace focus
 {
-
-/** Functional-cache mode (see file comment). */
-enum class FuncCacheMode
-{
-    On, ///< memoize MethodEvals + batched QA forward path (default)
-    Off ///< historical per-sample evaluation, no reuse layer
-};
-
-/** Name for logging / bench banners ("on" | "off"). */
-const char *funcCacheModeName(FuncCacheMode m);
-
-/**
- * Currently active mode.  Initialized once from the FOCUS_FUNC_CACHE
- * environment variable (default On; panics on an unknown value).
- */
-FuncCacheMode activeFuncCacheMode();
-
-/** Override the active mode (tests flip this to compare paths). */
-void setFuncCacheMode(FuncCacheMode m);
 
 /**
  * Full method parameterization as a string: every field of every
@@ -97,8 +77,9 @@ class FunctionalCache
      * Return the cached MethodEval for @p key, computing it via
      * @p compute on first request.  Exactly one caller computes;
      * concurrent callers for the same key block until ready.  If the
-     * computation throws, the entry is dropped, the exception
-     * propagates to the computing caller, and blocked waiters retry.
+     * computation throws, the entry is dropped (from the eviction
+     * order too), the exception propagates to the computing caller,
+     * and blocked waiters retry.
      */
     MethodEval getOrCompute(const std::string &key,
                             const std::function<MethodEval()> &compute);
@@ -127,14 +108,9 @@ class FunctionalCache
     };
 
     /**
-     * Internal counters.  When the cache is bypassed
-     * (`FOCUS_FUNC_CACHE=off`) this reads all-zero rather than the
-     * stale totals of an earlier on-phase: a bypassed cache serves
-     * nothing, and reporting old hit counts as if they were current
-     * misleads every consumer.  The internal totals are preserved and
-     * reappear when the mode returns to On.  The same counts stream
-     * into the obs registry (`func_cache.*`, see obs/metrics.h) when
-     * `FOCUS_OBS` enables it.
+     * Internal counters since the last clear().  The same counts
+     * stream into the obs registry (`func_cache.*`, see
+     * obs/metrics.h) when `FOCUS_OBS` enables it.
      */
     Stats stats() const;
 

@@ -308,13 +308,13 @@ gemmBlock(int64_t i0, int64_t mb, int64_t n, int64_t k, const float *a,
 // dot4 / dot4x4: FP contraction pinned OFF.
 //
 // qkScoresCausalF32 mixes the two kernels inside one probability
-// matrix, and the batched forward path (vlm/model.cc forwardBatch)
-// promises bit-identity with the per-sample dotRowsScaled arithmetic.
-// Two separately compiled bodies make the same mul+add-vs-FMA
-// contraction choices only by codegen luck — under the project-wide
-// -ffp-contract=fast, GCC fused some of dot4x4's accumulations while
-// leaving dot4's vector loop as mul+add, which surfaced as 1-ulp
-// score drift between the batched and per-sample paths.  Pinning
+// matrix, and its scores (vlm/model.cc forwardBatch) must equal the
+// dotRowsScaled arithmetic that every recorded output was produced
+// with.  Two separately compiled bodies make the same
+// mul+add-vs-FMA contraction choices only by codegen luck — under the
+// project-wide -ffp-contract=fast, GCC fused some of dot4x4's
+// accumulations while leaving dot4's vector loop as mul+add, which
+// surfaced as 1-ulp score drift against dotRowsScaled.  Pinning
 // contraction off for exactly this pair turns that accident into a
 // contract: each product rounds before it accumulates, in every
 // clone, on every compiler.  Both kernels are only ever called with

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -167,388 +168,8 @@ ForwardResult
 VlmModel::forward(const VideoSample &sample, const MethodConfig &method,
                   const PrototypeBank &bank) const
 {
-    const int64_t d = prof_.hidden;
-    const int64_t inner = prof_.ffnInner();
-    const int64_t m_orig = sample.numVisual();
-    const int64_t t_count = sample.numText();
-    const std::vector<LayerWeights> &weights =
-        method.int8 ? layers_int8_ : layers_;
-
-    ForwardResult res;
-    res.visual_original = m_orig;
-
-    // ------------------------------------------------------------
-    // Preprocess: token-level reduction for the merging baselines.
-    // ------------------------------------------------------------
-    TokenReduction red = identityReduction(m_orig);
-    switch (method.kind) {
-      case MethodKind::AdapTiV:
-        red = adaptivReduce(sample.visual_tokens, sample.coords,
-                            sample.frames, sample.grid_h, sample.grid_w,
-                            method.adaptiv);
-        break;
-      case MethodKind::CMC:
-        red = cmcReduce(sample.visual_tokens, sample.coords,
-                        sample.frames, sample.grid_h, sample.grid_w,
-                        method.cmc);
-        break;
-      case MethodKind::FrameFusion:
-        red = frameFusionReduce(sample.visual_tokens, sample.coords,
-                                sample.frames, sample.grid_h,
-                                sample.grid_w, method.framefusion);
-        break;
-      default:
-        break;
-    }
-
-    const int64_t s0 = static_cast<int64_t>(red.kept.size());
-    res.visual_initial = s0;
-
-    // Active-state arrays: merged-group mean embeddings, coordinates
-    // of the surviving representative, original index (for readout).
-    Tensor visual(s0, d);
-    std::vector<TokenCoord> coords(static_cast<size_t>(s0));
-    std::vector<int64_t> active_orig(static_cast<size_t>(s0));
-    {
-        std::vector<int64_t> kept_pos(static_cast<size_t>(m_orig), -1);
-        for (int64_t p = 0; p < s0; ++p) {
-            const int64_t orig = red.kept[static_cast<size_t>(p)];
-            kept_pos[static_cast<size_t>(orig)] = p;
-            coords[static_cast<size_t>(p)] =
-                sample.coords[static_cast<size_t>(orig)];
-            active_orig[static_cast<size_t>(p)] = orig;
-        }
-        std::vector<int64_t> counts(static_cast<size_t>(s0), 0);
-        for (int64_t i = 0; i < m_orig; ++i) {
-            const int64_t rep = red.assign[static_cast<size_t>(i)];
-            if (rep < 0) {
-                continue;
-            }
-            const int64_t p = kept_pos[static_cast<size_t>(rep)];
-            if (p < 0) {
-                panic("forward: token %" PRId64 " assigned to non-kept "
-                      "representative %" PRId64, i, rep);
-            }
-            const float *src = sample.visual_tokens.row(i);
-            float *dst = visual.row(p);
-            for (int64_t j = 0; j < d; ++j) {
-                dst[j] += src[j];
-            }
-            ++counts[static_cast<size_t>(p)];
-        }
-        for (int64_t p = 0; p < s0; ++p) {
-            const float inv = 1.0f /
-                static_cast<float>(std::max<int64_t>(
-                    counts[static_cast<size_t>(p)], 1));
-            float *dst = visual.row(p);
-            for (int64_t j = 0; j < d; ++j) {
-                dst[j] *= inv;
-            }
-        }
-    }
-
-    // Readout embeddings: input-space content of each active token.
-    Tensor readout_emb = visual;
-
-    // Working hidden state X = [visual ; text].
-    Tensor x(s0 + t_count, d);
-    for (int64_t i = 0; i < s0; ++i) {
-        std::copy(visual.row(i), visual.row(i) + d, x.row(i));
-    }
-    for (int64_t i = 0; i < t_count; ++i) {
-        std::copy(sample.text_tokens.row(i),
-                  sample.text_tokens.row(i) + d, x.row(s0 + i));
-    }
-
-    const bool is_focus = method.kind == MethodKind::Focus;
-    const bool sec_on = is_focus && method.focus.sec_enable;
-    const bool sic_on = is_focus && method.focus.sic_enable;
-
-    // Gather coordinates include text rows as non-spatial sentinels.
-    auto gather_coords = [&](int64_t s_cur) {
-        std::vector<TokenCoord> gc(coords.begin(),
-                                   coords.begin() + s_cur);
-        gc.resize(static_cast<size_t>(s_cur + t_count),
-                  TokenCoord{-1, 0, 0});
-        return gc;
-    };
-
-    // Per-layer dense reference ops (no reduction at all).
-    const double rows0 = static_cast<double>(m_orig + t_count);
-    const double dense_layer_ops =
-        3.0 * rows0 * d * d +            // QKV projections
-        2.0 * rows0 * rows0 * d +        // QK^T and PV
-        1.0 * rows0 * d * d +            // O projection
-        2.0 * rows0 * d * inner +        // gate, up
-        1.0 * rows0 * inner * d;         // down
-    res.dense_ops = dense_layer_ops * prof_.layers;
-
-    int64_t s_cur = s0;
-    std::vector<Tensor> head_probs;
-    Tensor q, k, v;
-
-    for (int l = 0; l < prof_.layers; ++l) {
-        LayerRecord rec;
-        rec.visual_in = s_cur;
-        rec.text = t_count;
-        const int64_t rows = s_cur + t_count;
-
-        // ---- attention block ----
-        Tensor xn = x;
-        rmsNormRows(xn, weights[static_cast<size_t>(l)].n1);
-        if (method.int8) {
-            xn = int8RoundTrip(xn);
-        } else {
-            xn.roundToFp16();
-        }
-        if (sic_on && l > 0) {
-            SicResult g = sicGather(xn, gather_coords(s_cur),
-                                    method.focus.sic);
-            rec.psi_qkv = g.uniqueFrac();
-            rec.tile_fracs.insert(rec.tile_fracs.end(),
-                                  g.tile_slice_unique_frac.begin(),
-                                  g.tile_slice_unique_frac.end());
-        }
-        attention(xn, weights[static_cast<size_t>(l)], head_probs, q,
-                  k, v);
-        res.ops += 3.0 * static_cast<double>(rows) * d * d *
-            rec.psi_qkv;
-        res.ops += static_cast<double>(rows) * rows * d; // QK^T
-
-        // ---- semantic pruning (SEC) ----
-        std::vector<int64_t> retained; // positions among active visuals
-        bool pruned = false;
-        if (sec_on && prof_.pruneAtLayer(l, prof_.layers)) {
-            const std::vector<float> importance =
-                secImportance(head_probs, s_cur, t_count);
-            switch (method.focus.sec.select) {
-              case SecSelect::TopK: {
-                const double ratio =
-                    prof_.retentionAfterLayer(l, prof_.layers);
-                const int64_t want = std::max<int64_t>(
-                    1, static_cast<int64_t>(std::llround(
-                           ratio * static_cast<double>(m_orig))));
-                if (want < s_cur) {
-                    retained = secTopK(importance, want);
-                    pruned = true;
-                }
-                break;
-              }
-              case SecSelect::TopP:
-                retained =
-                    secTopP(importance, method.focus.sec.top_p);
-                pruned = static_cast<int64_t>(retained.size()) < s_cur;
-                break;
-              case SecSelect::Threshold:
-                retained = secThreshold(importance,
-                                        method.focus.sec.threshold);
-                pruned = static_cast<int64_t>(retained.size()) < s_cur;
-                break;
-            }
-        }
-
-        const int64_t s_next = pruned
-            ? static_cast<int64_t>(retained.size()) : s_cur;
-        const int64_t rows_after = s_next + t_count;
-        rec.visual_out = s_next;
-
-        // ---- P x V, computed only for surviving rows ----
-        // (paper Sec. V-C: pruned tokens are skipped in P(i) x V)
-        Tensor attn_out(rows_after, d);
-        const int64_t hd = prof_.headDim();
-        auto out_row_src = [&](int64_t r) {
-            // Map post-prune row r to pre-prune row index.
-            if (!pruned) {
-                return r;
-            }
-            if (r < s_next) {
-                return retained[static_cast<size_t>(r)];
-            }
-            return s_cur + (r - s_next);
-        };
-        // Each head is one blocked GEMM over its column slice; when
-        // pruned, the row gather map selects surviving P rows without
-        // materializing a compacted copy.
-        std::vector<int64_t> pv_rows;
-        const int64_t *pv_map = nullptr;
-        if (pruned) {
-            pv_rows.resize(static_cast<size_t>(rows_after));
-            for (int64_t r = 0; r < rows_after; ++r) {
-                pv_rows[static_cast<size_t>(r)] = out_row_src(r);
-            }
-            pv_map = pv_rows.data();
-        }
-        for (int h = 0; h < prof_.heads; ++h) {
-            const Tensor &p = head_probs[static_cast<size_t>(h)];
-            const int64_t c0 = static_cast<int64_t>(h) * hd;
-            kernels::gemmF32(rows_after, hd, rows, p.data(), p.cols(),
-                             v.data() + c0, v.cols(),
-                             attn_out.data() + c0, attn_out.cols(),
-                             /*fp16_inputs=*/false, pv_map);
-        }
-        res.ops += static_cast<double>(rows_after) * rows * d; // PV
-
-        // ---- shrink the active state if pruned ----
-        if (pruned) {
-            Tensor x2(rows_after, d);
-            Tensor ro2(s_next, d);
-            std::vector<TokenCoord> c2(static_cast<size_t>(s_next));
-            std::vector<int64_t> ao2(static_cast<size_t>(s_next));
-            for (int64_t r = 0; r < s_next; ++r) {
-                const int64_t srcv = retained[static_cast<size_t>(r)];
-                std::copy(x.row(srcv), x.row(srcv) + d, x2.row(r));
-                std::copy(readout_emb.row(srcv),
-                          readout_emb.row(srcv) + d, ro2.row(r));
-                c2[static_cast<size_t>(r)] =
-                    coords[static_cast<size_t>(srcv)];
-                ao2[static_cast<size_t>(r)] =
-                    active_orig[static_cast<size_t>(srcv)];
-            }
-            for (int64_t r = 0; r < t_count; ++r) {
-                std::copy(x.row(s_cur + r), x.row(s_cur + r) + d,
-                          x2.row(s_next + r));
-            }
-            x = std::move(x2);
-            readout_emb = std::move(ro2);
-            coords = std::move(c2);
-            active_orig = std::move(ao2);
-            s_cur = s_next;
-        }
-
-        // ---- O projection ----
-        if (sic_on) {
-            SicResult g = sicGather(attn_out, gather_coords(s_cur),
-                                    method.focus.sic);
-            rec.psi_oproj = g.uniqueFrac();
-            rec.tile_fracs.insert(rec.tile_fracs.end(),
-                                  g.tile_slice_unique_frac.begin(),
-                                  g.tile_slice_unique_frac.end());
-        }
-        Tensor o;
-        gemm(attn_out, weights[static_cast<size_t>(l)].wo, o);
-        res.ops += static_cast<double>(rows_after) * d * d *
-            rec.psi_oproj;
-        for (int64_t r = 0; r < rows_after; ++r) {
-            float *xr = x.row(r);
-            const float *orow = o.row(r);
-            for (int64_t j = 0; j < d; ++j) {
-                xr[j] += orow[j];
-            }
-        }
-
-        // ---- FFN block ----
-        Tensor xn2 = x;
-        rmsNormRows(xn2, weights[static_cast<size_t>(l)].n2);
-        if (method.int8) {
-            xn2 = int8RoundTrip(xn2);
-        } else {
-            xn2.roundToFp16();
-        }
-        if (sic_on) {
-            SicResult g = sicGather(xn2, gather_coords(s_cur),
-                                    method.focus.sic);
-            rec.psi_ffn = g.uniqueFrac();
-            rec.tile_fracs.insert(rec.tile_fracs.end(),
-                                  g.tile_slice_unique_frac.begin(),
-                                  g.tile_slice_unique_frac.end());
-        }
-        Tensor gate, up;
-        gemm(xn2, weights[static_cast<size_t>(l)].wg, gate);
-        gemm(xn2, weights[static_cast<size_t>(l)].wu, up);
-        res.ops += 2.0 * static_cast<double>(rows_after) * d * inner *
-            rec.psi_ffn;
-        siluInPlace(gate);
-        for (int64_t i = 0; i < gate.numel(); ++i) {
-            gate.data()[i] *= up.data()[i];
-        }
-        if (sic_on) {
-            SicResult g = sicGather(gate, gather_coords(s_cur),
-                                    method.focus.sic);
-            rec.psi_down = g.uniqueFrac();
-            rec.tile_fracs.insert(rec.tile_fracs.end(),
-                                  g.tile_slice_unique_frac.begin(),
-                                  g.tile_slice_unique_frac.end());
-        }
-        Tensor down;
-        gemm(gate, weights[static_cast<size_t>(l)].wd, down);
-        res.ops += static_cast<double>(rows_after) * inner * d *
-            rec.psi_down;
-        for (int64_t r = 0; r < rows_after; ++r) {
-            float *xr = x.row(r);
-            const float *dr = down.row(r);
-            for (int64_t j = 0; j < d; ++j) {
-                xr[j] += dr[j];
-            }
-        }
-
-        res.layers.push_back(std::move(rec));
-    }
-
-    // ------------------------------------------------------------
-    // Readout: final-layer cross-modal attention from the query
-    // token over visual tokens, then nearest-prototype color.
-    // ------------------------------------------------------------
-    {
-        Tensor xn = x;
-        rmsNormRows(xn, layers_.back().n1);
-        const int64_t qrow_idx = s_cur + sample.query_token;
-        const int64_t hd = prof_.headDim();
-        Tensor qv(1, d), kv;
-        {
-            Tensor qin = xn.sliceRows(qrow_idx, qrow_idx + 1);
-            gemm(qin, layers_.back().wq, qv);
-            Tensor vis = xn.sliceRows(0, s_cur);
-            gemm(vis, layers_.back().wk, kv);
-        }
-        std::vector<float> weights_sum(static_cast<size_t>(s_cur),
-                                       0.0f);
-        const float inv_sqrt =
-            1.0f / std::sqrt(static_cast<float>(hd));
-        std::vector<float> logits(static_cast<size_t>(s_cur));
-        for (int h = 0; h < prof_.heads; ++h) {
-            const int64_t c0 = static_cast<int64_t>(h) * hd;
-            kernels::dotRowsScaled(qv.row(0) + c0, kv.row(0) + c0,
-                                   kv.cols(), s_cur, hd, inv_sqrt,
-                                   logits.data());
-            float mx = -1e30f;
-            for (int64_t j = 0; j < s_cur; ++j) {
-                mx = std::max(mx, logits[static_cast<size_t>(j)]);
-            }
-            // SFU-tier exp: the exact backend reproduces the
-            // historical serial std::exp + serial-sum loop bit-exact;
-            // the vector backend runs the polynomial expf.
-            const float sum =
-                kernels::expBiasedSumF32(logits.data(), s_cur, mx);
-            for (int64_t j = 0; j < s_cur; ++j) {
-                weights_sum[static_cast<size_t>(j)] +=
-                    logits[static_cast<size_t>(j)] / sum /
-                    static_cast<float>(prof_.heads);
-            }
-        }
-
-        std::vector<float> readout(static_cast<size_t>(kGroupDim),
-                                   0.0f);
-        for (int64_t j = 0; j < s_cur; ++j) {
-            const float w = weights_sum[static_cast<size_t>(j)];
-            if (w <= 0.0f) {
-                continue;
-            }
-            const float *emb = readout_emb.row(j);
-            for (int g = 0; g < kNumGroups; ++g) {
-                for (int e = 0; e < kGroupDim; ++e) {
-                    readout[static_cast<size_t>(e)] +=
-                        w * emb[g * kGroupDim + e] /
-                        static_cast<float>(kNumGroups);
-                }
-            }
-        }
-        res.predicted_color = bank.classifyColor(readout.data());
-        res.correct = res.predicted_color == sample.answer_color;
-        res.readout_attention = std::move(weights_sum);
-        res.active_original = active_orig;
-    }
-
-    return res;
+    const VideoSample *const one = &sample;
+    return std::move(forwardBatch(&one, 1, method, bank).front());
 }
 
 namespace
@@ -585,10 +206,10 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
                        const MethodConfig &method,
                        const PrototypeBank &bank) const
 {
-    // Mirrors forward() phase for phase; everything whose value could
-    // depend on evaluation order (softmax, SEC, SIC, readout sums)
-    // stays per-sample on per-sample buffers, and only the
-    // row-independent GEMMs see the packed batch.
+    // Everything whose value could depend on evaluation order
+    // (softmax, SEC, SIC, readout sums) stays per-sample on per-sample
+    // buffers, and only the row-independent GEMMs see the packed
+    // batch, so results do not depend on how samples are batched.
     std::vector<ForwardResult> out;
     if (count <= 0) {
         return out;
@@ -613,7 +234,8 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
     };
 
     // ------------------------------------------------------------
-    // Preprocess every sample (identical to forward()).
+    // Preprocess every sample: token-level reduction for the merging
+    // baselines, then the [visual ; text] working state.
     // ------------------------------------------------------------
     for (int64_t bi = 0; bi < count; ++bi) {
         BatchState &st = states[static_cast<size_t>(bi)];
@@ -702,6 +324,7 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
         }
         st.s_cur = s0;
 
+        // Per-layer dense reference ops (no reduction at all).
         const double rows0 =
             static_cast<double>(st.m_orig + st.t_count);
         const double dense_layer_ops = 3.0 * rows0 * d * d +
@@ -787,6 +410,8 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
                     qp.row(o) + c0, qp.cols(), kp.row(o) + c0,
                     kp.cols(), rows, hd, inv_sqrt, p.data(),
                     p.cols());
+                // Causal mask: stream order is [visual ; text], so
+                // text queries see every visual key.
                 for (int64_t i = 0; i < rows; ++i) {
                     float *prow = p.row(i);
                     for (int64_t j = i + 1; j < rows; ++j) {
@@ -834,6 +459,9 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
             st.rows_after = st.s_next + st.t_count;
             st.rec.visual_out = st.s_next;
 
+            // P x V only for surviving rows (paper Sec. V-C: pruned
+            // tokens are skipped); the row map selects them without
+            // materializing a compacted P.
             const int64_t *pv_map = nullptr;
             if (st.pruned) {
                 st.pv_rows.resize(static_cast<size_t>(st.rows_after));
@@ -1013,7 +641,9 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
     }
 
     // ------------------------------------------------------------
-    // Readout: packed query/key projections, per-sample logits.
+    // Readout: final-layer cross-modal attention from the query token
+    // over visual tokens, then nearest-prototype color.  Query/key
+    // projections are packed; logits stay per-sample.
     // ------------------------------------------------------------
     int64_t total_vis = 0;
     std::vector<int64_t> offv(static_cast<size_t>(count));

@@ -91,25 +91,26 @@ class VlmModel
     VlmModel(const ModelProfile &profile, uint64_t seed);
 
     /**
-     * Run one sample under a method.  @p bank is needed to classify
-     * the answer readout.
+     * Run one sample under a method: forwardBatch() with a batch of
+     * one.  @p bank is needed to classify the answer readout.
      */
     ForwardResult forward(const VideoSample &sample,
                           const MethodConfig &method,
                           const PrototypeBank &bank) const;
 
     /**
-     * Run a batch of samples under one method, packing the samples'
-     * rows through the projection / FFN / readout GEMMs of the
-     * kernel tier (tensor/kernels.h) so per-sample small GEMMs
-     * become a few large ones, with the attention interiors on the
-     * query-row-tiled causal kernels.  Results are bit-identical to
-     * calling forward() per sample at every batch split: GEMM output
-     * rows are independent (per-element ascending-k accumulation),
-     * the causal QK^T/PV kernels preserve the per-element dot4/PV
-     * order, and everything per-sample (softmax, SEC, SIC, readout)
-     * runs on the same per-sample buffers as the unbatched path.
-     * Used by Evaluator::runFunctional when FOCUS_FUNC_CACHE=on.
+     * Run a batch of samples under one method; this is the one
+     * forward-pass implementation.  The samples' rows are packed
+     * through the projection / FFN / readout GEMMs of the kernel tier
+     * (tensor/kernels.h) so per-sample small GEMMs become a few large
+     * ones, with the attention interiors on the query-row-tiled
+     * causal kernels.  Results are bit-identical at every batch split
+     * (a sample's result does not depend on which other samples share
+     * its batch): GEMM output rows are independent (per-element
+     * ascending-k accumulation), the causal QK^T/PV kernels compute
+     * each element in a fixed order, and everything per-sample
+     * (softmax, SEC, SIC, readout) runs on per-sample buffers.
+     * Evaluator::runFunctional computes its cache misses here.
      */
     std::vector<ForwardResult>
     forwardBatch(const VideoSample *const *samples, int64_t count,
@@ -140,7 +141,10 @@ class VlmModel
     /** Weights round-tripped through int8 (for MethodConfig::int8). */
     std::vector<LayerWeights> layers_int8_;
 
-    /** Multi-head causal attention; fills per-head probabilities. */
+    /**
+     * Multi-head causal attention over one unpacked sample; fills
+     * per-head probabilities (used by attentionHeatmap).
+     */
     void attention(const Tensor &xn, const LayerWeights &w,
                    std::vector<Tensor> &head_probs, Tensor &q,
                    Tensor &k, Tensor &v) const;

@@ -2,22 +2,23 @@
  * @file
  * FunctionalCache and batched-forward bit-identity tests.
  *
- * The PR-7 contract is that the functional-evaluation reuse layer
+ * The contract is that the functional-evaluation reuse layer
  * (eval/func_cache.h) and the batched QA forward path
  * (VlmModel::forwardBatch) are pure performance features: every
- * printed double is bit-identical to the historical per-sample path
- * at every thread count and batch split.  These tests pin that
- * contract with exact (EXPECT_EQ) floating-point comparisons, and
- * cover the cache bookkeeping itself — key collision safety across
- * seeds / sample counts / method parameterizations that share a
- * display name, eviction of the oldest ready entry, and the
- * FOCUS_FUNC_CACHE=off bypass.
+ * printed double is bit-identical at every thread count and batch
+ * split, and a cache hit returns exactly what a recomputation would.
+ * These tests pin that contract with exact (EXPECT_EQ) floating-point
+ * comparisons, and cover the cache bookkeeping itself — key collision
+ * safety across seeds / sample counts / method parameterizations that
+ * share a display name, and eviction of the oldest ready entry,
+ * including after a failed computation.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,22 +45,19 @@ quick(int samples = 3)
 }
 
 /**
- * Save/restore the process-wide cache mode and capacity around a
- * test, clearing resident entries on both sides so tests neither see
- * nor leak each other's state.
+ * Save/restore the process-wide cache capacity around a test,
+ * clearing resident entries on both sides so tests neither see nor
+ * leak each other's state.
  */
 class CacheGuard
 {
   public:
-    CacheGuard()
-        : mode_(activeFuncCacheMode()),
-          capacity_(FunctionalCache::instance().capacity())
+    CacheGuard() : capacity_(FunctionalCache::instance().capacity())
     {
         FunctionalCache::instance().clear();
     }
     ~CacheGuard()
     {
-        setFuncCacheMode(mode_);
         FunctionalCache::instance().setCapacity(capacity_);
         FunctionalCache::instance().clear();
     }
@@ -68,7 +66,6 @@ class CacheGuard
     CacheGuard &operator=(const CacheGuard &) = delete;
 
   private:
-    FuncCacheMode mode_;
     std::size_t capacity_;
 };
 
@@ -137,12 +134,13 @@ expectForwardBitEqual(const ForwardResult &a, const ForwardResult &b)
     }
 }
 
-// The cached/batched path must reproduce the historical per-sample
-// path exactly, for every method family, at 1 and 4 threads; the
-// second cached call must be a hit returning the same doubles.
-TEST(FuncCache, CachedMatchesUncachedAcrossMethodsAndThreads)
+// A recomputation after clear() is bit-identical at 1 and 4 threads
+// (different chunkings of the batched miss path), for every method
+// family, and the following call is a hit returning the same doubles.
+TEST(FuncCache, RecomputeMatchesAcrossThreadsAndHit)
 {
     CacheGuard guard;
+    FunctionalCache &cache = FunctionalCache::instance();
     const Evaluator ev("Llava-Vid", "VideoMME", quick());
     const std::vector<MethodConfig> methods = {
         MethodConfig::dense(),
@@ -150,75 +148,97 @@ TEST(FuncCache, CachedMatchesUncachedAcrossMethodsAndThreads)
         MethodConfig::cmcBaseline(),
         MethodConfig::frameFusionBaseline(),
     };
-    for (int threads : {1, 4}) {
-        ThreadPool pool(threads);
-        for (const MethodConfig &m : methods) {
-            setFuncCacheMode(FuncCacheMode::Off);
-            const MethodEval direct = ev.runFunctional(m, &pool);
+    ThreadPool pool1(1);
+    ThreadPool pool4(4);
+    for (const MethodConfig &m : methods) {
+        cache.clear();
+        const MethodEval serial = ev.runFunctional(m, &pool1);
 
-            setFuncCacheMode(FuncCacheMode::On);
-            FunctionalCache::instance().clear();
-            const MethodEval batched = ev.runFunctional(m, &pool);
-            expectEvalBitEqual(direct, batched);
+        cache.clear();
+        const MethodEval parallel = ev.runFunctional(m, &pool4);
+        EXPECT_EQ(cache.stats().misses, 1u) << m.name();
+        expectEvalBitEqual(serial, parallel);
 
-            const FunctionalCache::Stats before =
-                FunctionalCache::instance().stats();
-            const MethodEval again = ev.runFunctional(m, &pool);
-            const FunctionalCache::Stats after =
-                FunctionalCache::instance().stats();
-            EXPECT_EQ(after.hits, before.hits + 1)
-                << m.name() << " at " << threads << " threads";
-            EXPECT_EQ(after.misses, before.misses);
-            expectEvalBitEqual(batched, again);
-        }
+        const FunctionalCache::Stats before = cache.stats();
+        const MethodEval again = ev.runFunctional(m, &pool4);
+        const FunctionalCache::Stats after = cache.stats();
+        EXPECT_EQ(after.hits, before.hits + 1) << m.name();
+        EXPECT_EQ(after.misses, before.misses);
+        expectEvalBitEqual(parallel, again);
     }
 }
 
-// forwardBatch must match forward() sample by sample, for every way
-// of splitting the batch, including the INT8 variant.
-TEST(FuncCache, ForwardBatchMatchesPerSample)
+// forwardBatch is split-invariant: every way of splitting a batch
+// gives each sample exactly the result of its batch of one (which is
+// forward()), for every method family a caller uses, on a video
+// dataset and on an image dataset whose short samples pack several
+// per chunk in runFunctional.
+TEST(FuncCache, ForwardBatchSplitInvariant)
 {
     CacheGuard guard;
-    const Evaluator ev("MiniCPM", "MVBench", quick(4));
-    const VideoGenerator &gen = ev.generator();
 
     MethodConfig focus_q = MethodConfig::focusFull();
     focus_q.int8 = true;
+    MethodConfig focus_topp = MethodConfig::focusFull();
+    focus_topp.focus.sec.select = SecSelect::TopP;
+    focus_topp.focus.sec.top_p = 0.92;
+    const std::vector<MethodConfig> methods = {
+        MethodConfig::dense(),
+        MethodConfig::focusFull(),
+        MethodConfig::focusSecOnly(),
+        MethodConfig::focusSicOnly(),
+        MethodConfig::focusTokenWise(),
+        focus_q,
+        focus_topp,
+        MethodConfig::adaptivBaseline(),
+        MethodConfig::cmcBaseline(),
+        MethodConfig::frameFusionBaseline(),
+    };
+    // With three samples these put each sample at every position a
+    // batch of up to three offers.
+    const std::vector<std::vector<int>> splits = {{3}, {1, 2}, {2, 1}};
 
-    std::vector<VideoSample> samples;
-    for (uint64_t i = 0; i < 4; ++i) {
-        samples.push_back(gen.sample(i));
-    }
-
-    for (const MethodConfig &m :
-         {MethodConfig::focusFull(), focus_q,
-          MethodConfig::adaptivBaseline()}) {
-        std::vector<ForwardResult> ref;
-        for (const VideoSample &s : samples) {
-            ref.push_back(ev.model().forward(s, m, gen.bank()));
+    for (const auto &[model, dataset] :
+         {std::pair<const char *, const char *>{"MiniCPM", "MVBench"},
+          std::pair<const char *, const char *>{"Qwen2.5-VL",
+                                                "VQAv2"}}) {
+        const Evaluator ev(model, dataset, quick());
+        const VideoGenerator &gen = ev.generator();
+        std::vector<VideoSample> samples;
+        for (uint64_t i = 0; i < 3; ++i) {
+            samples.push_back(gen.sample(i));
         }
 
-        const std::vector<std::vector<int>> splits = {
-            {4}, {1, 3}, {2, 2}, {1, 1, 1, 1}};
-        for (const std::vector<int> &split : splits) {
-            std::vector<ForwardResult> got;
-            std::size_t off = 0;
-            for (int chunk : split) {
-                std::vector<const VideoSample *> ptrs;
-                for (int i = 0; i < chunk; ++i) {
-                    ptrs.push_back(&samples[off + i]);
-                }
-                std::vector<ForwardResult> part = ev.model().forwardBatch(
-                    ptrs.data(), chunk, m, gen.bank());
-                ASSERT_EQ(part.size(), static_cast<std::size_t>(chunk));
-                for (ForwardResult &r : part) {
-                    got.push_back(std::move(r));
-                }
-                off += chunk;
+        for (const MethodConfig &m : methods) {
+            SCOPED_TRACE(std::string(model) + "/" + dataset + " " +
+                         methodSignature(m));
+            std::vector<ForwardResult> ref;
+            for (const VideoSample &s : samples) {
+                ref.push_back(ev.model().forward(s, m, gen.bank()));
             }
-            ASSERT_EQ(got.size(), ref.size());
-            for (std::size_t i = 0; i < ref.size(); ++i) {
-                expectForwardBitEqual(ref[i], got[i]);
+
+            for (const std::vector<int> &split : splits) {
+                std::vector<ForwardResult> got;
+                std::size_t off = 0;
+                for (int chunk : split) {
+                    std::vector<const VideoSample *> ptrs;
+                    for (int i = 0; i < chunk; ++i) {
+                        ptrs.push_back(&samples[off + i]);
+                    }
+                    std::vector<ForwardResult> part =
+                        ev.model().forwardBatch(ptrs.data(), chunk, m,
+                                                gen.bank());
+                    ASSERT_EQ(part.size(),
+                              static_cast<std::size_t>(chunk));
+                    for (ForwardResult &r : part) {
+                        got.push_back(std::move(r));
+                    }
+                    off += chunk;
+                }
+                ASSERT_EQ(got.size(), ref.size());
+                for (std::size_t i = 0; i < ref.size(); ++i) {
+                    expectForwardBitEqual(ref[i], got[i]);
+                }
             }
         }
     }
@@ -257,14 +277,10 @@ TEST(FuncCache, KeyDistinguishesFullParameterization)
 }
 
 // Overflow evicts the oldest ready entry; a re-run of the evicted
-// method misses but returns the identical result; Off mode bypasses
-// the cache entirely, and a bypassed cache reports all-zero stats
-// (stale totals from an earlier On phase would misrepresent a cache
-// that is currently serving nothing).
-TEST(FuncCache, EvictionAndOffSwitchBypass)
+// method misses but returns the identical result.
+TEST(FuncCache, EvictsOldestReadyEntry)
 {
     CacheGuard guard;
-    setFuncCacheMode(FuncCacheMode::On);
     FunctionalCache &cache = FunctionalCache::instance();
     cache.setCapacity(2);
 
@@ -291,25 +307,34 @@ TEST(FuncCache, EvictionAndOffSwitchBypass)
     const MethodEval e1_again = ev.runFunctional(m1, &pool);
     expectEvalBitEqual(e1, e1_again);
     EXPECT_EQ(cache.stats().misses, s.misses + 1);
+}
 
-    const FunctionalCache::Stats before = cache.stats();
-    EXPECT_GT(before.misses, 0u);
-    setFuncCacheMode(FuncCacheMode::Off);
-    ev.runFunctional(m1, &pool);
-    const FunctionalCache::Stats off_stats = cache.stats();
-    EXPECT_EQ(off_stats.hits, 0u);
-    EXPECT_EQ(off_stats.misses, 0u);
-    EXPECT_EQ(off_stats.evictions, 0u);
-    EXPECT_EQ(off_stats.entries, 0u);
+// A failed computation must leave no trace in the eviction order: a
+// later successful insert of the same key is the newest entry, so the
+// next overflow evicts the genuinely oldest one.
+TEST(FuncCache, FailedComputeKeepsEvictionOrder)
+{
+    CacheGuard guard;
+    FunctionalCache &cache = FunctionalCache::instance();
+    cache.setCapacity(2);
 
-    // The internal totals survive the bypass and resurface on
-    // re-enable, untouched by the Off-mode runFunctional above.
-    setFuncCacheMode(FuncCacheMode::On);
-    const FunctionalCache::Stats restored = cache.stats();
-    EXPECT_EQ(restored.hits, before.hits);
-    EXPECT_EQ(restored.misses, before.misses);
-    EXPECT_EQ(restored.evictions, before.evictions);
-    EXPECT_EQ(restored.entries, before.entries);
+    auto value = [] { return MethodEval{}; };
+    EXPECT_THROW(cache.getOrCompute(
+                     "A",
+                     []() -> MethodEval {
+                         throw std::runtime_error("compute failed");
+                     }),
+                 std::runtime_error);
+    EXPECT_FALSE(cache.contains("A"));
+    cache.getOrCompute("B", value);
+    cache.getOrCompute("A", value);
+    cache.getOrCompute("C", value); // overflows: oldest (B) evicted
+
+    EXPECT_TRUE(cache.contains("A"));
+    EXPECT_FALSE(cache.contains("B"));
+    EXPECT_TRUE(cache.contains("C"));
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_EQ(cache.stats().entries, 2u);
 }
 
 // The per-Evaluator dense-trace memo must be invisible: repeated
@@ -317,7 +342,6 @@ TEST(FuncCache, EvictionAndOffSwitchBypass)
 TEST(FuncCache, DenseTraceMemoStable)
 {
     CacheGuard guard;
-    setFuncCacheMode(FuncCacheMode::On);
     const Evaluator ev("Llava-Vid", "VideoMME", quick(2));
     const MethodConfig m = MethodConfig::focusFull();
     const MethodEval e = ev.runFunctional(m);

@@ -326,8 +326,6 @@ TEST(Obs, CounterTotalsThreadInvariant)
 TEST(Obs, WorkCountersDeterministicAcrossThreadCounts)
 {
     ObsGuard guard(ObsMode::Counters);
-    const FuncCacheMode cache_mode = activeFuncCacheMode();
-    setFuncCacheMode(FuncCacheMode::Off); // force recompute per run
 
     const Evaluator ev("Llava-OV", "MLVU", quick());
     const MethodConfig method = MethodConfig::focusFull();
@@ -335,12 +333,13 @@ TEST(Obs, WorkCountersDeterministicAcrossThreadCounts)
     std::vector<std::vector<std::pair<std::string, uint64_t>>> runs;
     for (const int threads : {1, 4}) {
         MetricsRegistry::instance().resetAll();
+        FunctionalCache::instance().clear(); // force recompute per run
         ThreadPool pool(threads);
         ev.runFunctional(method, &pool);
         runs.push_back(MetricsRegistry::instance().counterValues(
             obs::CounterKind::Work));
     }
-    setFuncCacheMode(cache_mode);
+    FunctionalCache::instance().clear();
 
     ASSERT_FALSE(runs[0].empty());
     ASSERT_EQ(runs[0].size(), runs[1].size());
@@ -355,8 +354,6 @@ TEST(Obs, WorkCountersDeterministicAcrossThreadCounts)
 TEST(Obs, FuncCacheCountersStreamIntoRegistry)
 {
     ObsGuard guard(ObsMode::Counters);
-    const FuncCacheMode cache_mode = activeFuncCacheMode();
-    setFuncCacheMode(FuncCacheMode::On);
     FunctionalCache::instance().clear();
 
     const Evaluator ev("Llava-OV", "MLVU", quick());
@@ -369,7 +366,6 @@ TEST(Obs, FuncCacheCountersStreamIntoRegistry)
     EXPECT_GE(reg.counter("func_cache.hits").value(), 1u);
 
     FunctionalCache::instance().clear();
-    setFuncCacheMode(cache_mode);
 }
 
 // ---- off-mode bypass ----
