@@ -193,16 +193,7 @@ main(int argc, char **argv)
                 shed_fleet, cont.render().c_str());
 
     // ---- cross-request prefix cache ----
-    // Marker-line convention shared with bench_serving: the CI
-    // digest diffs stdout above the first "prefix-cache" line, so
-    // cache sections may only appear below it.
-    std::printf("prefix-cache: per-replica retained-token caches "
-                "(FOCUS_PREFIX_CACHE=%s)\n\n",
-                prefixCacheModeName(activePrefixCacheMode()));
-    if (activePrefixCacheMode() == PrefixCacheMode::Off) {
-        std::printf("(disabled; budget sweep skipped)\n");
-        return 0;
-    }
+    std::printf("prefix-cache: per-replica retained-token caches\n\n");
 
     // Budget sweep at the fixed fleet, hashed vs round-robin: the
     // same fleet-total bytes go much further when affinity routing

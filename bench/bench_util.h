@@ -2,8 +2,8 @@
  * @file
  * Shared helpers for the bench harness binaries.
  *
- * Every bench accepts an optional sample-count argument (the first
- * non-flag argument, or the FOCUS_BENCH_SAMPLES environment variable)
+ * Every bench accepts an optional sample-count argument (its one
+ * positional argument, or the FOCUS_BENCH_SAMPLES environment variable)
  * controlling how many synthetic QA samples feed each functional
  * measurement, and a `--threads=N` flag (or the FOCUS_THREADS
  * environment variable) sizing the thread pool that the experiment
@@ -20,6 +20,7 @@
 #define FOCUS_BENCH_BENCH_UTIL_H
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -59,13 +60,32 @@ struct BenchOptions
 };
 
 /**
+ * Parse the whole of @p text (the value part of @p arg) as a positive
+ * int; anything else — trailing junk, a sign, overflow — is fatal.
+ */
+inline int
+parsePositiveInt(const char *text, const char *arg, const char *what)
+{
+    char *end = nullptr;
+    const long v = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || v < 1 || v > INT_MAX) {
+        fatal("invalid %s in '%s' (want a positive integer)", what,
+              arg);
+    }
+    return static_cast<int>(v);
+}
+
+/**
  * Parse "[samples] [--threads=N] [--batch=N] [--arrival-rate=R]
  * [--replicas=N] [--requests=N]" with the environment fallbacks
  * described in the file header, and size the global pool when
  * --threads is given.  The batch / arrival-rate / replicas /
  * requests serving knobs are consumed by the serving and cluster
  * benches; every bench parses (and rejects malformed values of)
- * them so a shared wrapper script can pass one flag set.
+ * them so a shared wrapper script can pass one flag set.  Every
+ * value must parse whole: "--threads=2x", a second positional
+ * argument or a non-numeric sample count is fatal, never silently
+ * truncated or dropped.
  */
 inline BenchOptions
 benchOptions(int argc, char **argv, int fallback_samples)
@@ -73,21 +93,16 @@ benchOptions(int argc, char **argv, int fallback_samples)
     BenchOptions bo;
     bo.samples = fallback_samples;
     bool have_samples = false;
+    const char *usage = "[samples] [--threads=N] [--batch=N] "
+                        "[--arrival-rate=R] [--replicas=N] "
+                        "[--requests=N]";
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-            bo.threads = std::atoi(argv[i] + 10);
-            if (bo.threads < 1) {
-                fatal("invalid thread count in '%s' (want a "
-                      "positive integer)", argv[i]);
-            }
+            bo.threads =
+                parsePositiveInt(argv[i] + 10, argv[i], "thread count");
         } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
-            char *end = nullptr;
-            bo.batch = static_cast<int>(
-                std::strtol(argv[i] + 8, &end, 10));
-            if (end == argv[i] + 8 || *end != '\0' || bo.batch < 1) {
-                fatal("invalid batch size in '%s' (want a positive "
-                      "integer)", argv[i]);
-            }
+            bo.batch =
+                parsePositiveInt(argv[i] + 8, argv[i], "batch size");
         } else if (std::strncmp(argv[i], "--arrival-rate=", 15) == 0) {
             char *end = nullptr;
             bo.arrival_rate = std::strtod(argv[i] + 15, &end);
@@ -97,39 +112,30 @@ benchOptions(int argc, char **argv, int fallback_samples)
                       "req/s value)", argv[i]);
             }
         } else if (std::strncmp(argv[i], "--replicas=", 11) == 0) {
-            char *end = nullptr;
-            bo.replicas = static_cast<int>(
-                std::strtol(argv[i] + 11, &end, 10));
-            if (end == argv[i] + 11 || *end != '\0' ||
-                bo.replicas < 1) {
-                fatal("invalid replica count in '%s' (want a "
-                      "positive integer)", argv[i]);
-            }
+            bo.replicas = parsePositiveInt(argv[i] + 11, argv[i],
+                                           "replica count");
         } else if (std::strncmp(argv[i], "--requests=", 11) == 0) {
-            char *end = nullptr;
-            bo.requests = static_cast<int>(
-                std::strtol(argv[i] + 11, &end, 10));
-            if (end == argv[i] + 11 || *end != '\0' ||
-                bo.requests < 1) {
-                fatal("invalid request count in '%s' (want a "
-                      "positive integer)", argv[i]);
-            }
+            bo.requests = parsePositiveInt(argv[i] + 11, argv[i],
+                                           "request count");
         } else if (argv[i][0] == '-' && argv[i][1] != '\0' &&
                    (argv[i][1] < '0' || argv[i][1] > '9')) {
             // Reject unknown flags loudly: a typo like --thread=4
             // must not silently become the sample count.
-            fatal("unknown option '%s' (usage: %s [samples] "
-                  "[--threads=N] [--batch=N] [--arrival-rate=R] "
-                  "[--replicas=N] [--requests=N])",
-                  argv[i], argv[0]);
-        } else if (!have_samples) {
-            bo.samples = std::max(1, std::atoi(argv[i]));
+            fatal("unknown option '%s' (usage: %s %s)", argv[i],
+                  argv[0], usage);
+        } else if (have_samples) {
+            fatal("unexpected extra argument '%s' (usage: %s %s)",
+                  argv[i], argv[0], usage);
+        } else {
+            bo.samples =
+                parsePositiveInt(argv[i], argv[i], "sample count");
             have_samples = true;
         }
     }
     if (!have_samples) {
         if (const char *env = std::getenv("FOCUS_BENCH_SAMPLES")) {
-            bo.samples = std::max(1, std::atoi(env));
+            bo.samples = parsePositiveInt(env, "FOCUS_BENCH_SAMPLES",
+                                          "sample count");
         }
     }
     if (bo.threads > 0) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <tuple>
+#include <utility>
 
 #include "common/logging.h"
 #include "obs/trace_span.h"
@@ -184,243 +185,79 @@ ClusterSimulator::ClusterSimulator(ServingSimulator &base,
     }
 }
 
-std::string
-ClusterSimulator::routingKey(const ServeRequest &req,
-                             const RequestClass &cls)
-{
-    // One key definition serves both tiers: the ring routes on it and
-    // every replica's prefix cache stores under it, so hash affinity
-    // concentrates a prefix's repeats onto the replica that holds its
-    // slab by construction.
-    return prefixKey(req, cls);
-}
-
-const ClusterSimulator::ShardCost &
-ClusterSimulator::costSharded(const std::vector<size_t> &comp)
-{
-    const auto hit = shard_cache_.find(comp);
-    if (hit != shard_cache_.end()) {
-        return hit->second;
-    }
-
-    ShardCost sc;
-    const int tp = cfg_.tensor_parallel;
-    // A data-parallel group never splits below one request.
-    const int dp = std::min(cfg_.data_parallel,
-                            static_cast<int>(comp.size()));
-
-    std::vector<const WorkloadTrace *> parts;
-    parts.reserve(comp.size());
-    for (const size_t code : comp) {
-        parts.push_back(&base_.codeTrace(code));
-    }
-
-    std::vector<uint64_t> layer_cycles;
-    if (tp == 1 && dp == 1) {
-        // Delegate to the base composition cache: bit-identical to
-        // the single-box path (and shared with it).
-        const RunMetrics &m = base_.costComposition(comp);
-        sc.metrics = m;
-        sc.service_s = m.seconds();
-        layer_cycles = m.layer_cycles;
-    } else {
-        const std::vector<WorkloadTrace> groups =
-            splitDataParallel(parts, dp);
-        double worst = -1.0;
-        for (const WorkloadTrace &group : groups) {
-            std::vector<WorkloadTrace> shards =
-                splitTensorParallel(group, tp);
-            for (const WorkloadTrace &shard : shards) {
-                RunMetrics rm = simulateAccelerator(
-                    base_.accelConfig(), shard);
-                sc.interconnect_bytes += rm.interconnect_bytes;
-                if (rm.seconds() > worst) {
-                    worst = rm.seconds();
-                    layer_cycles = rm.layer_cycles;
-                    sc.metrics = std::move(rm);
-                }
-            }
-        }
-        sc.service_s = worst;
-    }
-
-    // Continuous-batching knee: the first layer whose active rows
-    // have shrunk to theta * layer-0 rows.  The knee time scales the
-    // batch service by the critical engine's cycle prefix; the tail
-    // fraction is the mean active share past the knee (the residual
-    // array occupancy the next batch serializes behind).
-    sc.knee_s = sc.service_s;
-    sc.tail_frac = 0.0;
-    if (cfg_.continuous_theta > 0.0 && !layer_cycles.empty()) {
-        const WorkloadTrace fused_storage =
-            parts.size() > 1 ? fuseTraces(parts) : WorkloadTrace{};
-        const WorkloadTrace &fused =
-            parts.size() > 1 ? fused_storage : *parts.front();
-        const double rows0 =
-            static_cast<double>(fused.layers.front().rowsIn());
-        const size_t L = fused.layers.size();
-        size_t knee = L;
-        for (size_t l = 0; l < L; ++l) {
-            if (static_cast<double>(fused.layers[l].rowsIn()) <=
-                cfg_.continuous_theta * rows0) {
-                knee = l;
-                break;
-            }
-        }
-        if (knee < L && rows0 > 0.0) {
-            uint64_t prefix = 0, total = 0;
-            for (size_t l = 0; l < layer_cycles.size(); ++l) {
-                total += layer_cycles[l];
-                if (l < knee) {
-                    prefix += layer_cycles[l];
-                }
-            }
-            if (total > 0) {
-                sc.knee_s = sc.service_s *
-                    (static_cast<double>(prefix) /
-                     static_cast<double>(total));
-                double frac_sum = 0.0;
-                for (size_t l = knee; l < L; ++l) {
-                    frac_sum += std::min(
-                        1.0,
-                        static_cast<double>(
-                            fused.layers[l].rowsIn()) / rows0);
-                }
-                sc.tail_frac =
-                    frac_sum / static_cast<double>(L - knee);
-            }
-        }
-    }
-
-    return shard_cache_.emplace(comp, std::move(sc)).first->second;
-}
-
 namespace
 {
 
 /**
- * Append one executed cluster batch and stamp its members' outcomes;
- * @p members holds positions into @p sub.  @p service may exceed the
- * batch's own cost (continuous batching serializes the previous
- * batch's residual tail ahead of it).
+ * Continuous-batching knee of one batch: the first layer whose
+ * active rows (@p rows, summed over members) have shrunk to
+ * @p theta * layer-0 rows.  Returns the knee time — the batch
+ * service @p service_s scaled by the critical engine's cycle prefix
+ * before the knee — and the tail fraction, the mean active share
+ * past the knee (the residual array occupancy the next batch
+ * serializes behind).  No knee leaves (service_s, 0).
  */
-double
-recordClusterBatch(const std::vector<ServeRequest> &sub,
-                   std::vector<RequestOutcome> &outcomes,
-                   std::vector<BatchRecord> &batches,
-                   const std::vector<size_t> &members, double ready,
-                   double start, double service,
-                   const RunMetrics &metrics)
+std::pair<double, double>
+batchKnee(const std::vector<int64_t> &rows,
+          const std::vector<uint64_t> &layer_cycles, double theta,
+          double service_s)
 {
-    BatchRecord rec;
-    rec.ready_s = ready;
-    rec.start_s = start;
-    rec.service_s = service;
-    rec.metrics = metrics;
-    const int batch_id = static_cast<int>(batches.size());
-    for (const size_t i : members) {
-        rec.request_ids.push_back(sub[i].id);
-        RequestOutcome &o = outcomes[i];
-        o.id = sub[i].id;
-        o.class_id = sub[i].class_id;
-        o.batch_id = batch_id;
-        o.batch_size = static_cast<int>(members.size());
-        o.start_s = start;
-        o.finish_s = start + service;
+    const size_t L = rows.size();
+    const double rows0 = L > 0 ? static_cast<double>(rows.front()) : 0.0;
+    size_t knee = L;
+    for (size_t l = 0; l < L; ++l) {
+        if (static_cast<double>(rows[l]) <= theta * rows0) {
+            knee = l;
+            break;
+        }
     }
-    batches.push_back(std::move(rec));
-    return start + service;
+    if (knee == L || rows0 <= 0.0) {
+        return {service_s, 0.0};
+    }
+    uint64_t prefix = 0, total = 0;
+    for (size_t l = 0; l < layer_cycles.size(); ++l) {
+        total += layer_cycles[l];
+        if (l < knee) {
+            prefix += layer_cycles[l];
+        }
+    }
+    if (total == 0) {
+        return {service_s, 0.0};
+    }
+    double frac_sum = 0.0;
+    for (size_t l = knee; l < L; ++l) {
+        frac_sum +=
+            std::min(1.0, static_cast<double>(rows[l]) / rows0);
+    }
+    return {service_s * (static_cast<double>(prefix) /
+                         static_cast<double>(total)),
+            frac_sum / static_cast<double>(L - knee)};
 }
 
 } // namespace
 
-void
-ClusterSimulator::replayAdvanced(
+uint64_t
+ClusterSimulator::replayContinuous(
     const BatchScheduler &scheduler,
     const std::vector<ServeRequest> &sub,
     std::vector<RequestOutcome> &outcomes,
-    std::vector<BatchRecord> &batches,
-    uint64_t &interconnect_bytes, PrefixCache *cache)
+    std::vector<BatchRecord> &batches, PrefixCache &cache)
 {
     const size_t n = sub.size();
-    const bool caching = cache != nullptr && cache->enabled();
-    const QueueConfig &queue = base_.queueConfig();
     outcomes.assign(n, RequestOutcome{});
     batches.clear();
     const std::vector<BatchKey> keys = base_.batchKeys(sub);
-    std::vector<size_t> req_combo(n);
     std::vector<size_t> req_code(n);
     for (size_t i = 0; i < n; ++i) {
         outcomes[i].arrival_s = sub[i].arrival_s;
-        req_combo[i] = base_.classCombo(sub[i].class_id);
-        req_code[i] = ServingSimulator::comboCode(req_combo[i], false);
+        req_code[i] = ServingSimulator::comboCode(
+            base_.classCombo(sub[i].class_id), false);
     }
 
-    // Cache resolution for one batch, in execution order: lookups
-    // first (same-key members of one batch share the miss), then one
-    // admit per distinct missed key — the exact protocol of the base
-    // replay, so a trivial split reproduces its hit stream.
-    const auto resolveCache = [&](const std::vector<size_t> &members) {
-        if (!caching) {
-            return;
-        }
-        std::vector<size_t> missed;
-        for (const size_t i : members) {
-            const RequestClass &cls =
-                queue.mix[static_cast<size_t>(sub[i].class_id)];
-            if (cache->lookup(prefixKey(sub[i], cls))) {
-                outcomes[i].prefix_hit = true;
-                req_code[i] =
-                    ServingSimulator::comboCode(req_combo[i], true);
-            } else {
-                missed.push_back(i);
-            }
-        }
-        std::vector<std::string> admitted;
-        for (const size_t i : missed) {
-            const RequestClass &cls =
-                queue.mix[static_cast<size_t>(sub[i].class_id)];
-            const std::string key = prefixKey(sub[i], cls);
-            if (std::find(admitted.begin(), admitted.end(), key) ==
-                admitted.end()) {
-                admitted.push_back(key);
-                cache->admit(key,
-                             base_.comboSlabSpec(req_combo[i], key));
-            }
-        }
-    };
-
-    const auto compOf = [&](const std::vector<size_t> &members) {
-        std::vector<size_t> comp;
-        comp.reserve(members.size());
-        for (const size_t i : members) {
-            comp.push_back(req_code[i]);
-        }
-        return comp;
-    };
-
-    if (cfg_.continuous_theta <= 0.0) {
-        // Serial batch boundaries: the planned open-loop schedule
-        // with sharded costs.
-        const std::vector<PlannedBatch> plans =
-            scheduler.planOpenLoop(sub, keys);
-        double free_t = 0.0;
-        for (const PlannedBatch &plan : plans) {
-            resolveCache(plan.members);
-            const ShardCost &sc = costSharded(compOf(plan.members));
-            const double start = std::max(free_t, plan.ready_s);
-            free_t = recordClusterBatch(
-                sub, outcomes, batches, plan.members, plan.ready_s,
-                start, sc.service_s, sc.metrics);
-            interconnect_bytes += sc.interconnect_bytes;
-        }
-        return;
-    }
-
-    // Continuous batching: launch the next batch at the previous
-    // batch's knee, serializing its residual tail occupancy (which
-    // drains linearly between knee and finish) ahead of the new
-    // batch's own service.
+    // Launch the next batch at the previous batch's knee, serializing
+    // its residual tail occupancy (which drains linearly between knee
+    // and finish) ahead of the new batch's own service.
+    uint64_t interconnect_bytes = 0;
     size_t next = 0;
     std::vector<size_t> pending;
     double release_t = 0.0;
@@ -436,8 +273,26 @@ ClusterSimulator::replayAdvanced(
         obs::TraceSpan step_span("cluster.continuous.step");
         const std::vector<size_t> picked =
             scheduler.pickPending(pending, keys);
-        resolveCache(picked);
-        const ShardCost &sc = costSharded(compOf(picked));
+        base_.resolvePrefixes(cache, sub, picked, outcomes, req_code);
+        std::vector<size_t> comp;
+        comp.reserve(picked.size());
+        std::vector<int64_t> rows;
+        for (const size_t i : picked) {
+            comp.push_back(req_code[i]);
+            // Per-layer active rows of the batch, summed over members
+            // exactly as fuseTraces sums them.
+            const WorkloadTrace &tr = base_.codeTrace(req_code[i]);
+            rows.resize(tr.layers.size(), 0);
+            for (size_t l = 0; l < tr.layers.size(); ++l) {
+                rows[l] += tr.layers[l].rowsIn();
+            }
+        }
+        const CompositionCost &cost = base_.costComposition(
+            comp, cfg_.tensor_parallel, cfg_.data_parallel);
+        const double own_s = cost.metrics.seconds();
+        const std::pair<double, double> knee =
+            batchKnee(rows, cost.metrics.layer_cycles,
+                      cfg_.continuous_theta, own_s);
 
         double carry = 0.0;
         if (finish_abs > knee_abs && t < finish_abs) {
@@ -445,21 +300,22 @@ ClusterSimulator::replayAdvanced(
                 (finish_abs - knee_abs);
         }
         const double start = t;
-        const double service = carry + sc.service_s;
-        recordClusterBatch(sub, outcomes, batches, picked, t, start,
-                           service, sc.metrics);
-        interconnect_bytes += sc.interconnect_bytes;
+        const double service = carry + own_s;
+        ServingSimulator::recordBatch(sub, outcomes, batches, picked, t,
+                                      start, service, cost.metrics);
+        interconnect_bytes += cost.interconnect_bytes;
 
-        release_t = start + carry + sc.knee_s;
+        release_t = start + carry + knee.first;
         knee_abs = release_t;
         finish_abs = start + service;
-        tail_work = (sc.service_s - sc.knee_s) * sc.tail_frac;
+        tail_work = (own_s - knee.first) * knee.second;
 
         for (const size_t i : picked) {
             pending.erase(
                 std::find(pending.begin(), pending.end(), i));
         }
     }
+    return interconnect_bytes;
 }
 
 ClusterReport
@@ -496,8 +352,11 @@ ClusterSimulator::run(const SchedulerConfig &sched, ThreadPool *pool)
             for (size_t i = 0; i < n; ++i) {
                 const RequestClass &cls =
                     queue.mix[static_cast<size_t>(stream[i].class_id)];
-                replica_of[i] =
-                    ring.route(routingKey(stream[i], cls));
+                // One key definition serves both tiers: the ring
+                // routes on it and every replica's prefix cache
+                // stores under it, so hash affinity concentrates a
+                // prefix's repeats onto the replica holding its slab.
+                replica_of[i] = ring.route(prefixKey(stream[i], cls));
             }
         }
     }
@@ -509,11 +368,12 @@ ClusterSimulator::run(const SchedulerConfig &sched, ThreadPool *pool)
     if (cfg_.shed_backlog_s > 0.0) {
         est.reserve(queue.mix.size());
         for (size_t cls = 0; cls < queue.mix.size(); ++cls) {
-            est.push_back(
-                costSharded({ServingSimulator::comboCode(
-                                base_.classCombo(static_cast<int>(cls)),
-                                false)})
-                    .service_s);
+            const size_t code = ServingSimulator::comboCode(
+                base_.classCombo(static_cast<int>(cls)), false);
+            est.push_back(base_.costComposition({code},
+                                                cfg_.tensor_parallel,
+                                                cfg_.data_parallel)
+                              .metrics.seconds());
         }
     }
     std::vector<std::vector<size_t>> admitted(
@@ -541,8 +401,6 @@ ClusterSimulator::run(const SchedulerConfig &sched, ThreadPool *pool)
     }
 
     // ---- per-replica replay ----
-    const bool simple = cfg_.tensor_parallel == 1 &&
-        cfg_.data_parallel == 1 && cfg_.continuous_theta <= 0.0;
     std::vector<RequestOutcome> outcomes(n);
     std::vector<std::vector<BatchRecord>> rep_batches(
         static_cast<size_t>(R));
@@ -581,13 +439,13 @@ ClusterSimulator::run(const SchedulerConfig &sched, ThreadPool *pool)
         std::vector<RequestOutcome> sub_out;
         std::vector<BatchRecord> sub_batches;
         if (!sub.empty()) {
-            if (simple) {
-                base_.replayOpenLoop(scheduler, sub, pool, sub_out,
-                                     sub_batches, &cache);
-            } else {
-                replayAdvanced(scheduler, sub, sub_out, sub_batches,
-                               rs.interconnect_bytes, &cache);
-            }
+            rs.interconnect_bytes = cfg_.continuous_theta > 0.0
+                ? replayContinuous(scheduler, sub, sub_out,
+                                   sub_batches, cache)
+                : base_.replayOpenLoop(scheduler, sub, pool,
+                                       cfg_.tensor_parallel,
+                                       cfg_.data_parallel, sub_out,
+                                       sub_batches, cache);
         }
         const PrefixCacheStats cs = cache.stats();
         rs.prefix_hits = cs.hits;

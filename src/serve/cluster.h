@@ -7,7 +7,8 @@
  * fleet model:
  *
  *  - *Routing*: requests land on replicas via consistent hashing on a
- *    virtual-node ring keyed by request class + prefix identity
+ *    virtual-node ring keyed by prefixKey (request class + prefix
+ *    identity — the key every replica's prefix cache stores under)
  *    (HashRing), so same-prefix traffic keeps replica affinity and
  *    adding a replica moves only ~K/N keys.  A round-robin policy is
  *    kept as the balance reference.
@@ -26,18 +27,21 @@
  *    solo service) rejects arrivals once the backlog exceeds
  *    shed_backlog_s — the open-loop overload-regime admission policy.
  *
- * Bit-identity contract: a cluster of one replica with default knobs
- * (tp = dp = 1, no shedding, serial batching) replays the exact code
- * path of ServingSimulator::run — same composition cache, same
- * timeline arithmetic, same report assembly — so every reported
- * metric matches bit for bit (tests/test_cluster.cc).
+ * Every replica with serial batch boundaries — split or unsplit —
+ * replays through ServingSimulator::replayOpenLoop and costs through
+ * the base simulator's one composition cache; only continuous
+ * batching has its own (serial) event loop.  Bit-identity contract:
+ * a cluster of one replica with default knobs (tp = dp = 1, no
+ * shedding, serial batching) therefore replays the exact code path
+ * of ServingSimulator::run — same replay, same composition cache,
+ * same report assembly — so every reported metric matches bit for
+ * bit (tests/test_cluster.cc).
  */
 
 #ifndef FOCUS_SERVE_CLUSTER_H
 #define FOCUS_SERVE_CLUSTER_H
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -183,10 +187,10 @@ struct ClusterReport
 /**
  * Fleet replay over a shared ServingSimulator.
  *
- * Non-owning: the base simulator provides calibration, the fused
- * composition cache, the replay engine for trivial replicas and the
- * report assembly, so sweeping replica counts reuses all functional
- * and simulation work.  Open-loop streams only — overload is an
+ * Non-owning: the base simulator provides calibration, the
+ * composition cost cache, the open-loop replay and the report
+ * assembly, so sweeping replica counts and splits reuses all
+ * functional and simulation work.  Open-loop streams only — overload is an
  * open-loop phenomenon; closed-loop populations self-limit and stay
  * a single-box question (fatal otherwise).
  */
@@ -201,41 +205,22 @@ class ClusterSimulator
 
     const ClusterConfig &clusterConfig() const { return cfg_; }
 
-    /** Ring key of a request: class label + "#" + prefix id. */
-    static std::string routingKey(const ServeRequest &req,
-                                  const RequestClass &cls);
-
   private:
-    /** Sharded cost of one batch composition. */
-    struct ShardCost
-    {
-        double service_s = 0.0; ///< slowest shard/group
-        double knee_s = 0.0;    ///< array mostly free after this
-        double tail_frac = 0.0; ///< mean active fraction past knee
-        uint64_t interconnect_bytes = 0; ///< all shards, all groups
-        RunMetrics metrics;     ///< critical-path engine's metrics
-    };
-
-    const ShardCost &costSharded(const std::vector<size_t> &comp);
-
     /**
-     * Replica replay when any advanced knob is on (tp/dp splits or
-     * continuous batching); outcomes positional in @p sub.  A
-     * non-null enabled @p cache resolves prefix keys the same way the
-     * base replay does: serially in execution order (per planned
-     * batch on the serial path, at pick time under continuous
-     * batching), with hits swapping in the combo's hit-trace code.
+     * Continuous-batching replica replay (continuous_theta > 0):
+     * each batch re-forms from whatever is pending when the previous
+     * batch reaches its SEC knee; prefix keys resolve at pick time.
+     * Outcomes are positional in @p sub.  Returns the replay's
+     * interconnect bytes.
      */
-    void replayAdvanced(const BatchScheduler &scheduler,
-                        const std::vector<ServeRequest> &sub,
-                        std::vector<RequestOutcome> &outcomes,
-                        std::vector<BatchRecord> &batches,
-                        uint64_t &interconnect_bytes,
-                        PrefixCache *cache);
+    uint64_t replayContinuous(const BatchScheduler &scheduler,
+                              const std::vector<ServeRequest> &sub,
+                              std::vector<RequestOutcome> &outcomes,
+                              std::vector<BatchRecord> &batches,
+                              PrefixCache &cache);
 
     ServingSimulator &base_;
     ClusterConfig cfg_;
-    std::map<std::vector<size_t>, ShardCost> shard_cache_;
 };
 
 } // namespace focus

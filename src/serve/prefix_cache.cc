@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/env_dispatch.h"
 #include "common/half.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -14,17 +13,6 @@ namespace focus
 
 namespace
 {
-
-const char *const kPrefixCacheModeNames[] = {"on", "off"};
-
-PrefixCacheMode &
-prefixCacheModeRef()
-{
-    static PrefixCacheMode mode = static_cast<PrefixCacheMode>(
-        envBackendChoice("FOCUS_PREFIX_CACHE", kPrefixCacheModeNames,
-                         2, 0));
-    return mode;
-}
 
 /** splitmix64 finalizer: derives independent probe hashes. */
 uint64_t
@@ -51,24 +39,6 @@ prefixKeyHash(const std::string &key)
         h *= 0x100000001b3ull;
     }
     return h;
-}
-
-const char *
-prefixCacheModeName(PrefixCacheMode m)
-{
-    return kPrefixCacheModeNames[static_cast<int>(m)];
-}
-
-PrefixCacheMode
-activePrefixCacheMode()
-{
-    return prefixCacheModeRef();
-}
-
-void
-setPrefixCacheMode(PrefixCacheMode m)
-{
-    prefixCacheModeRef() = m;
 }
 
 PrefixCache::PrefixCache(const PrefixCacheConfig &config)

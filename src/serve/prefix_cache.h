@@ -29,10 +29,9 @@
  *    accuracy delta of each stored slab is accounted in the stats so
  *    serving reports can bound the numerical cost of compression.
  *
- * The cache is gated by `FOCUS_PREFIX_CACHE=on|off` under the shared
- * env-dispatch contract (default on, panic on unknown).  `off` — or a
- * zero byte budget — makes every lookup a non-counting miss, which
- * keeps serving output bit-identical to pre-cache builds.
+ * The byte budget is the only switch: a zero budget (the default)
+ * makes every lookup a non-counting miss, which keeps serving output
+ * bit-identical to a replay with no cache at all.
  *
  * Not thread-safe: the serving layer drives it from the serial replay
  * pre-pass (serve/serving_sim.cc), which is also what keeps hit/miss
@@ -54,26 +53,6 @@
 namespace focus
 {
 
-/** Prefix-cache mode (see file comment). */
-enum class PrefixCacheMode
-{
-    On, ///< cache active wherever a config enables it (default)
-    Off ///< every lookup misses silently; bit-identical to pre-cache
-};
-
-/** Name for logging / bench banners ("on" | "off"). */
-const char *prefixCacheModeName(PrefixCacheMode m);
-
-/**
- * Currently active mode.  Initialized once from the
- * FOCUS_PREFIX_CACHE environment variable (default On; panics on an
- * unknown value).
- */
-PrefixCacheMode activePrefixCacheMode();
-
-/** Override the active mode (tests flip this to compare paths). */
-void setPrefixCacheMode(PrefixCacheMode m);
-
 /**
  * Stable 64-bit hash of a cache key (FNV-1a; never std::hash, whose
  * value is implementation-defined).  The admission sketch probes with
@@ -94,8 +73,8 @@ struct PrefixCacheConfig
 {
     /**
      * Live-byte budget for stored slabs; 0 (the default) disables the
-     * cache entirely — a budget-0 run is bit-identical to
-     * FOCUS_PREFIX_CACHE=off.
+     * cache entirely — a budget-0 run is bit-identical to a run with
+     * no cache configured.
      */
     int64_t budget_bytes = 0;
     SlabFormat format = SlabFormat::Fp16;
@@ -104,12 +83,8 @@ struct PrefixCacheConfig
     /** Hash probes per sketch test/set. */
     int sketch_hashes = 2;
 
-    /** True when both the config and the env mode enable caching. */
-    bool enabled() const
-    {
-        return budget_bytes > 0 &&
-            activePrefixCacheMode() == PrefixCacheMode::On;
-    }
+    /** True when the budget enables caching. */
+    bool enabled() const { return budget_bytes > 0; }
 };
 
 /**
@@ -199,7 +174,7 @@ class PrefixCache
      */
     void admit(const std::string &key, const SlabSpec &spec);
 
-    /** True when the config and env mode enable this instance. */
+    /** True when the config's budget enables this instance. */
     bool enabled() const { return enabled_; }
 
     const PrefixCacheConfig &config() const { return config_; }

@@ -166,16 +166,6 @@ ServingSimulator::classCombo(int class_id)
 }
 
 const WorkloadTrace &
-ServingSimulator::comboTrace(size_t combo) const
-{
-    if (combo >= combos_.size()) {
-        panic("ServingSimulator::comboTrace: combo %zu out of range",
-              combo);
-    }
-    return combos_[combo].trace;
-}
-
-const WorkloadTrace &
 ServingSimulator::codeTrace(size_t code) const
 {
     const size_t combo = code >> 1;
@@ -232,20 +222,57 @@ ServingSimulator::batchKeys(const std::vector<ServeRequest> &stream)
     return keys;
 }
 
-const RunMetrics &
-ServingSimulator::costComposition(const std::vector<size_t> &comp)
+ServingSimulator::CostKey
+ServingSimulator::costKey(const std::vector<size_t> &comp, int tp,
+                          int dp)
 {
-    const auto it = batch_cache_.find(comp);
-    if (it != batch_cache_.end()) {
-        return it->second;
-    }
+    // A data-parallel group never splits below one request.
+    return CostKey{tp, std::min(dp, static_cast<int>(comp.size())),
+                   comp};
+}
+
+CompositionCost
+ServingSimulator::simulateComposition(const CostKey &key) const
+{
+    const int tp = std::get<0>(key);
+    const int dp = std::get<1>(key);
+    const std::vector<size_t> &comp = std::get<2>(key);
     std::vector<const WorkloadTrace *> parts;
     parts.reserve(comp.size());
     for (const size_t code : comp) {
         parts.push_back(&codeTrace(code));
     }
-    RunMetrics m = simulateAccelerator(accel_, fuseTraces(parts));
-    return batch_cache_.emplace(comp, std::move(m)).first->second;
+    // The batch finishes with its slowest shard; every shard pays
+    // its own collectives.  An unsplit engine is the one-group,
+    // one-shard case (fuseTraces of the members, interconnect 0).
+    CompositionCost cost;
+    double worst = -1.0;
+    for (WorkloadTrace &group : splitDataParallel(parts, dp)) {
+        for (const WorkloadTrace &shard :
+             splitTensorParallel(std::move(group), tp)) {
+            RunMetrics rm = simulateAccelerator(accel_, shard);
+            cost.interconnect_bytes += rm.interconnect_bytes;
+            if (rm.seconds() > worst) {
+                worst = rm.seconds();
+                cost.metrics = std::move(rm);
+            }
+        }
+    }
+    return cost;
+}
+
+const CompositionCost &
+ServingSimulator::costComposition(const std::vector<size_t> &comp,
+                                  int tp, int dp)
+{
+    CostKey key = costKey(comp, tp, dp);
+    const auto it = batch_cache_.find(key);
+    if (it != batch_cache_.end()) {
+        return it->second;
+    }
+    CompositionCost cost = simulateComposition(key);
+    return batch_cache_.emplace(std::move(key), std::move(cost))
+        .first->second;
 }
 
 namespace
@@ -265,24 +292,21 @@ percentile(const std::vector<double> &sorted, double q)
     return sorted[std::min(idx, sorted.size() - 1)];
 }
 
-/**
- * Append one executed batch and stamp its members' outcomes;
- * @p members holds positions into @p stream.  Returns the finish
- * time.  Shared by the open-loop replay and the closed-loop event
- * loop so both paths stay byte-for-byte the same bookkeeping.
- */
+} // namespace
+
 double
-recordBatch(const std::vector<ServeRequest> &stream,
-            std::vector<RequestOutcome> &outcomes,
-            std::vector<BatchRecord> &batches,
-            const std::vector<size_t> &members, double ready,
-            double start, const RunMetrics &m)
+ServingSimulator::recordBatch(const std::vector<ServeRequest> &stream,
+                              std::vector<RequestOutcome> &outcomes,
+                              std::vector<BatchRecord> &batches,
+                              const std::vector<size_t> &members,
+                              double ready, double start,
+                              double service, const RunMetrics &metrics)
 {
     BatchRecord rec;
     rec.ready_s = ready;
     rec.start_s = start;
-    rec.service_s = m.seconds();
-    rec.metrics = m;
+    rec.service_s = service;
+    rec.metrics = metrics;
     const int batch_id = static_cast<int>(batches.size());
     for (const size_t i : members) {
         rec.request_ids.push_back(stream[i].id);
@@ -292,24 +316,57 @@ recordBatch(const std::vector<ServeRequest> &stream,
         o.batch_id = batch_id;
         o.batch_size = static_cast<int>(members.size());
         o.start_s = start;
-        o.finish_s = start + rec.service_s;
+        o.finish_s = start + service;
     }
     batches.push_back(std::move(rec));
-    return start + batches.back().service_s;
+    return start + service;
 }
 
-} // namespace
-
 void
+ServingSimulator::resolvePrefixes(PrefixCache &cache,
+                                  const std::vector<ServeRequest> &stream,
+                                  const std::vector<size_t> &members,
+                                  std::vector<RequestOutcome> &outcomes,
+                                  std::vector<size_t> &req_code)
+{
+    if (!cache.enabled()) {
+        return;
+    }
+    std::vector<size_t> missed;
+    for (const size_t i : members) {
+        const RequestClass &cls =
+            queue_.mix[static_cast<size_t>(stream[i].class_id)];
+        if (cache.lookup(prefixKey(stream[i], cls))) {
+            outcomes[i].prefix_hit = true;
+            req_code[i] = comboCode(classCombo(stream[i].class_id),
+                                    true);
+        } else {
+            missed.push_back(i);
+        }
+    }
+    std::vector<std::string> admitted;
+    for (const size_t i : missed) {
+        const RequestClass &cls =
+            queue_.mix[static_cast<size_t>(stream[i].class_id)];
+        const std::string key = prefixKey(stream[i], cls);
+        if (std::find(admitted.begin(), admitted.end(), key) ==
+            admitted.end()) {
+            admitted.push_back(key);
+            cache.admit(key, comboSlabSpec(classCombo(stream[i].class_id),
+                                           key));
+        }
+    }
+}
+
+uint64_t
 ServingSimulator::replayOpenLoop(
     const BatchScheduler &scheduler,
-    const std::vector<ServeRequest> &stream, ThreadPool *pool,
-    std::vector<RequestOutcome> &outcomes,
-    std::vector<BatchRecord> &batches, PrefixCache *cache)
+    const std::vector<ServeRequest> &stream, ThreadPool *pool, int tp,
+    int dp, std::vector<RequestOutcome> &outcomes,
+    std::vector<BatchRecord> &batches, PrefixCache &cache)
 {
     calibrate(pool);
-    const bool caching = cache != nullptr && cache->enabled();
-    if (caching) {
+    if (cache.enabled()) {
         ensureHitTraces(pool);
     }
     obs::TraceSpan span("serve.replay");
@@ -317,14 +374,9 @@ ServingSimulator::replayOpenLoop(
     outcomes.assign(n, RequestOutcome{});
     batches.clear();
 
-    std::vector<size_t> req_combo(n);
-    std::vector<BatchKey> keys(n);
+    std::vector<size_t> req_code(n);
     for (size_t i = 0; i < n; ++i) {
-        const size_t combo =
-            class_combo_[static_cast<size_t>(stream[i].class_id)];
-        req_combo[i] = combo;
-        keys[i] = BatchKey{combos_[combo].model_id,
-                           combos_[combo].trace.retainedRows()};
+        req_code[i] = comboCode(classCombo(stream[i].class_id), false);
         outcomes[i].arrival_s = stream[i].arrival_s;
     }
 
@@ -332,86 +384,48 @@ ServingSimulator::replayOpenLoop(
     // membership must not depend on cache state, so an enabled cache
     // changes what a batch costs but never which batches form.
     const std::vector<PlannedBatch> plans =
-        scheduler.planOpenLoop(stream, keys);
-
-    // Serial cache pre-pass in execution order: resolve each batch's
-    // members against the cache (all lookups first, so same-key
-    // members of one batch share the miss), then admit each distinct
-    // missed key once in first-occurrence order.  Serial by design —
-    // the hit/miss stream (and the obs work counters behind it) must
-    // be identical at every thread count.
-    std::vector<size_t> req_code(n);
-    for (size_t i = 0; i < n; ++i) {
-        req_code[i] = comboCode(req_combo[i], false);
-    }
-    if (caching) {
-        for (const PlannedBatch &plan : plans) {
-            std::vector<size_t> missed;
-            for (const size_t i : plan.members) {
-                const RequestClass &cls = queue_.mix[static_cast<
-                    size_t>(stream[i].class_id)];
-                if (cache->lookup(prefixKey(stream[i], cls))) {
-                    outcomes[i].prefix_hit = true;
-                    req_code[i] = comboCode(req_combo[i], true);
-                } else {
-                    missed.push_back(i);
-                }
-            }
-            std::vector<std::string> admitted;
-            for (const size_t i : missed) {
-                const RequestClass &cls = queue_.mix[static_cast<
-                    size_t>(stream[i].class_id)];
-                const std::string key = prefixKey(stream[i], cls);
-                if (std::find(admitted.begin(), admitted.end(),
-                              key) == admitted.end()) {
-                    admitted.push_back(key);
-                    cache->admit(key,
-                                 comboSlabSpec(req_combo[i], key));
-                }
-            }
-        }
+        scheduler.planOpenLoop(stream, batchKeys(stream));
+    for (const PlannedBatch &plan : plans) {
+        resolvePrefixes(cache, stream, plan.members, outcomes,
+                        req_code);
     }
 
-    // Fuse + simulate every distinct composition across the
-    // pool; the timeline pass below then only reads the cache.
+    // Cost every distinct uncached composition across the pool; the
+    // timeline pass below then only reads the cache.
     std::vector<std::vector<size_t>> comps(plans.size());
-    std::vector<std::vector<size_t>> todo;
+    std::vector<CostKey> todo;
     for (size_t b = 0; b < plans.size(); ++b) {
         for (const size_t i : plans[b].members) {
             comps[b].push_back(req_code[i]);
         }
-        if (batch_cache_.find(comps[b]) == batch_cache_.end() &&
-            std::find(todo.begin(), todo.end(), comps[b]) ==
-                todo.end()) {
-            todo.push_back(comps[b]);
+        CostKey key = costKey(comps[b], tp, dp);
+        if (batch_cache_.find(key) == batch_cache_.end() &&
+            std::find(todo.begin(), todo.end(), key) == todo.end()) {
+            todo.push_back(std::move(key));
         }
     }
-    std::vector<RunMetrics> slots(todo.size());
+    std::vector<CompositionCost> slots(todo.size());
     ThreadPool &p = pool ? *pool : ThreadPool::global();
     p.parallelFor(
         static_cast<int64_t>(todo.size()), [&](int64_t t) {
-            const std::vector<size_t> &comp =
-                todo[static_cast<size_t>(t)];
-            std::vector<const WorkloadTrace *> parts;
-            parts.reserve(comp.size());
-            for (const size_t code : comp) {
-                parts.push_back(&codeTrace(code));
-            }
             slots[static_cast<size_t>(t)] =
-                simulateAccelerator(accel_, fuseTraces(parts));
+                simulateComposition(todo[static_cast<size_t>(t)]);
         });
     for (size_t t = 0; t < todo.size(); ++t) {
-        batch_cache_.emplace(todo[t], std::move(slots[t]));
+        batch_cache_.emplace(std::move(todo[t]), std::move(slots[t]));
     }
 
+    uint64_t interconnect_bytes = 0;
     double free_t = 0.0;
     for (size_t b = 0; b < plans.size(); ++b) {
-        const RunMetrics &m = costComposition(comps[b]);
+        const CompositionCost &cost = costComposition(comps[b], tp, dp);
         const double start = std::max(free_t, plans[b].ready_s);
         free_t = recordBatch(stream, outcomes, batches,
-                             plans[b].members, plans[b].ready_s,
-                             start, m);
+                             plans[b].members, plans[b].ready_s, start,
+                             cost.metrics.seconds(), cost.metrics);
+        interconnect_bytes += cost.interconnect_bytes;
     }
+    return interconnect_bytes;
 }
 
 ServingReport
@@ -422,8 +436,7 @@ ServingSimulator::run(const SchedulerConfig &sched, ThreadPool *pool)
     // Fresh cache per replay: runs never see each other's residency,
     // so budget sweeps on one simulator stay order-independent.
     PrefixCache cache(pcache_);
-    const bool caching = cache.enabled();
-    if (caching) {
+    if (cache.enabled()) {
         ensureHitTraces(pool);
     }
     const BatchScheduler scheduler(sched);
@@ -435,18 +448,15 @@ ServingSimulator::run(const SchedulerConfig &sched, ThreadPool *pool)
     std::vector<BatchRecord> batches;
 
     if (queue_.process == ArrivalProcess::OpenPoisson) {
-        replayOpenLoop(scheduler, stream, pool, outcomes, batches,
-                       &cache);
+        replayOpenLoop(scheduler, stream, pool, 1, 1, outcomes, batches,
+                       cache);
     } else {
-        std::vector<size_t> req_combo(n);
-        std::vector<BatchKey> keys(n);
+        std::vector<size_t> req_code(n);
         for (size_t i = 0; i < n; ++i) {
-            const size_t combo =
-                class_combo_[static_cast<size_t>(stream[i].class_id)];
-            req_combo[i] = combo;
-            keys[i] = BatchKey{combos_[combo].model_id,
-                               combos_[combo].trace.retainedRows()};
+            req_code[i] =
+                comboCode(classCombo(stream[i].class_id), false);
         }
+        const std::vector<BatchKey> keys = batchKeys(stream);
         // Closed loop: arrivals depend on completions, so the event
         // loop is serial; compositions still hit the shared cache.
         std::vector<double> arr(n, 0.0);
@@ -487,42 +497,18 @@ ServingSimulator::run(const SchedulerConfig &sched, ThreadPool *pool)
             const std::vector<size_t> picked =
                 scheduler.pickPending(pending, keys);
             // Closed loop is already a serial event loop, so the
-            // cache resolves at pick time: lookups for the whole
-            // batch first, then one admit per distinct missed key.
+            // cache resolves at pick time.
+            resolvePrefixes(cache, stream, picked, outcomes, req_code);
             std::vector<size_t> comp;
             comp.reserve(picked.size());
-            std::vector<size_t> missed;
             for (const size_t i : picked) {
-                bool hit = false;
-                if (caching) {
-                    const RequestClass &cls = queue_.mix[static_cast<
-                        size_t>(stream[i].class_id)];
-                    hit = cache.lookup(prefixKey(stream[i], cls));
-                    if (hit) {
-                        outcomes[i].prefix_hit = true;
-                    } else {
-                        missed.push_back(i);
-                    }
-                }
-                comp.push_back(comboCode(req_combo[i], hit));
-            }
-            std::vector<std::string> admitted;
-            for (const size_t i : missed) {
-                const RequestClass &cls = queue_.mix[static_cast<
-                    size_t>(stream[i].class_id)];
-                const std::string key = prefixKey(stream[i], cls);
-                if (std::find(admitted.begin(), admitted.end(),
-                              key) == admitted.end()) {
-                    admitted.push_back(key);
-                    cache.admit(key, comboSlabSpec(req_combo[i], key));
-                }
-            }
-            const RunMetrics &m = costComposition(comp);
-            for (const size_t i : picked) {
+                comp.push_back(req_code[i]);
                 outcomes[i].arrival_s = arr[i];
             }
-            const double finish = recordBatch(
-                stream, outcomes, batches, picked, start, start, m);
+            const RunMetrics &m = costComposition(comp, 1, 1).metrics;
+            const double finish =
+                recordBatch(stream, outcomes, batches, picked, start,
+                            start, m.seconds(), m);
             free_t = finish;
 
             for (const size_t i : picked) {
@@ -658,11 +644,14 @@ ServingSimulator::assemble(const SchedulerConfig &sched,
                 static_cast<double>(co.requests);
         }
         if (obs::countersEnabled()) {
-            // Power-of-4 latency ladder from 1 ms to 256 s; bounds
-            // are fixed so every run of a class shares one histogram.
+            // Power-of-2 latency ladder from 1 s to 16384 s: simulated
+            // full-scale prefills take tens of seconds each, so queued
+            // latencies span minutes to an hour.  Bounds are fixed so
+            // every run of a class shares one histogram.
             static const std::vector<double> kLatencyBounds = {
-                0.001, 0.004, 0.016, 0.064, 0.25, 1.0, 4.0, 16.0,
-                64.0, 256.0};
+                1.0,    2.0,    4.0,    8.0,    16.0,
+                32.0,   64.0,   128.0,  256.0,  512.0,
+                1024.0, 2048.0, 4096.0, 8192.0, 16384.0};
             obs::Histogram &h =
                 obs::MetricsRegistry::instance().histogram(
                     "serve.class." + co.label + ".latency_s",

@@ -20,6 +20,11 @@
  *    Closed-loop replay is a serial event loop (arrivals depend on
  *    completions) over the same composition cache.
  *
+ * The open-loop replay, the composition cost cache, the prefix-cache
+ * resolution and the batch bookkeeping are also the cluster layer's
+ * (serve/cluster.h): each replica is one replayOpenLoop over its
+ * routed sub-stream, costed on its tensor/data-parallel split.
+ *
  * Determinism: for a fixed QueueConfig seed every report is
  * bit-identical at every thread count — parallel stages write only
  * per-index slots and all reductions run serially in index order.
@@ -34,6 +39,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -81,7 +87,18 @@ struct BatchRecord
     double start_s = 0.0;
     double service_s = 0.0;
     int replica = 0;    ///< executing replica (0 on a single box)
-    RunMetrics metrics; ///< fused-trace accelerator metrics
+    RunMetrics metrics; ///< slowest shard's accelerator metrics
+};
+
+/**
+ * Accelerator cost of one batch composition on a split engine: the
+ * slowest shard's metrics (whose seconds() is the batch service
+ * time) and the interconnect bytes of every shard of every group.
+ */
+struct CompositionCost
+{
+    RunMetrics metrics;
+    uint64_t interconnect_bytes = 0;
 };
 
 /** Per-class accuracy and latency summary. */
@@ -132,10 +149,7 @@ struct ServingReport
      */
     double slo_attainment = 0.0;
     int shed = 0;
-    /**
-     * Activity of the run's prefix cache (all-zero when disabled —
-     * FOCUS_PREFIX_CACHE=off or a zero budget).
-     */
+    /** Activity of the run's prefix cache (all-zero when disabled). */
     PrefixCacheStats prefix_cache;
 };
 
@@ -159,9 +173,8 @@ class ServingSimulator
      * Configure the cross-request prefix cache for subsequent run()
      * calls (default: disabled).  Each run() replays against a fresh
      * cache instance, so one simulator can sweep budgets while
-     * sharing its calibration and composition caches; a disabled
-     * config (zero budget, or FOCUS_PREFIX_CACHE=off) reproduces the
-     * pre-cache replay bit for bit.
+     * sharing its calibration and composition caches; a zero budget
+     * reproduces the pre-cache replay bit for bit.
      */
     void setPrefixCache(const PrefixCacheConfig &cfg) { pcache_ = cfg; }
     const PrefixCacheConfig &prefixCacheConfig() const
@@ -189,26 +202,58 @@ class ServingSimulator
 
     /**
      * Open-loop replay of @p stream — any arrival-sorted subset of
-     * the generated stream — under @p scheduler.  Fuses and costs
-     * every distinct batch composition across @p pool, then assigns
-     * start/finish times in a serial FIFO timeline starting at
-     * t = 0.  @p outcomes and @p batches are overwritten, indexed by
-     * position in @p stream / execution order.  Calibrates on demand.
+     * the generated stream — under @p scheduler on an engine split
+     * @p tp ways tensor-parallel and @p dp ways data-parallel
+     * (1, 1 = one whole engine).  Costs every distinct batch
+     * composition across @p pool, then assigns start/finish times in
+     * a serial FIFO timeline starting at t = 0.  @p outcomes and
+     * @p batches are overwritten, indexed by position in @p stream /
+     * execution order.  Returns the replay's interconnect bytes.
+     * Calibrates on demand.
      *
-     * When @p cache is non-null and enabled, a serial pre-pass walks
-     * the planned batches in execution order, resolving each member's
-     * prefix key against the cache (lookup, then one admit per
-     * distinct missed key in first-occurrence order); hits swap in
-     * the combo's prefix-cached trace.  Batch *membership* is
-     * identical either way — plans key on the base trace, so a run
-     * with an enabled cache differs only in what each batch costs.
+     * When @p cache is enabled, a serial pre-pass walks the planned
+     * batches in execution order through resolvePrefixes(); hits
+     * swap in the combo's prefix-cached trace.  Batch *membership* is identical either way — plans key
+     * on the base trace, so a run with an enabled cache differs only
+     * in what each batch costs.
      */
-    void replayOpenLoop(const BatchScheduler &scheduler,
-                        const std::vector<ServeRequest> &stream,
-                        ThreadPool *pool,
-                        std::vector<RequestOutcome> &outcomes,
-                        std::vector<BatchRecord> &batches,
-                        PrefixCache *cache = nullptr);
+    uint64_t replayOpenLoop(const BatchScheduler &scheduler,
+                            const std::vector<ServeRequest> &stream,
+                            ThreadPool *pool, int tp, int dp,
+                            std::vector<RequestOutcome> &outcomes,
+                            std::vector<BatchRecord> &batches,
+                            PrefixCache &cache);
+
+    /**
+     * Resolve one batch's @p members (positions into @p stream)
+     * against @p cache in execution order: look every member up
+     * first (same-key members of one batch share the miss), then
+     * admit each distinct missed key once in first-occurrence order.
+     * A hit marks its outcome and switches its req_code entry to the
+     * combo's hit code.  No-op when @p cache is disabled.
+     * Serial by design: the hit/miss stream (and the obs work
+     * counters behind it) must be identical at every thread count.
+     */
+    void resolvePrefixes(PrefixCache &cache,
+                         const std::vector<ServeRequest> &stream,
+                         const std::vector<size_t> &members,
+                         std::vector<RequestOutcome> &outcomes,
+                         std::vector<size_t> &req_code);
+
+    /**
+     * Append one executed batch and stamp its members' outcomes;
+     * @p members holds positions into @p stream.  @p service may
+     * exceed @p metrics.seconds() (continuous batching serializes the
+     * previous batch's residual tail ahead of it).  Returns the
+     * finish time.
+     */
+    static double recordBatch(const std::vector<ServeRequest> &stream,
+                              std::vector<RequestOutcome> &outcomes,
+                              std::vector<BatchRecord> &batches,
+                              const std::vector<size_t> &members,
+                              double ready, double start,
+                              double service,
+                              const RunMetrics &metrics);
 
     /** Batching keys (model id, retained rows) for @p stream. */
     std::vector<BatchKey>
@@ -216,9 +261,6 @@ class ServingSimulator
 
     /** Mix class -> calibrated combo index (calibrates on demand). */
     size_t classCombo(int class_id);
-
-    /** Full-scale trace of a calibrated combo. */
-    const WorkloadTrace &comboTrace(size_t combo) const;
 
     /**
      * Composition code of one request: a combo id tagged with its
@@ -236,11 +278,16 @@ class ServingSimulator
     const WorkloadTrace &codeTrace(size_t code) const;
 
     /**
-     * Fused metrics of a batch composition (sequence of composition
-     * codes in member order), memoized in the process-lifetime cache
-     * shared with run().
+     * Cost of a batch composition (sequence of composition codes in
+     * member order) on a @p tp x @p dp split engine:
+     * splitDataParallel -> splitTensorParallel -> simulateAccelerator
+     * per shard (a data-parallel group never splits below one
+     * request).  Memoized per (tp, min(dp, members), codes) for the
+     * simulator's lifetime, so every policy, budget and fleet config
+     * replayed on this simulator shares the work.
      */
-    const RunMetrics &costComposition(const std::vector<size_t> &comp);
+    const CompositionCost &
+    costComposition(const std::vector<size_t> &comp, int tp, int dp);
 
     /** Slab geometry of one combo's retained prefix, keyed payload. */
     SlabSpec comboSlabSpec(size_t combo, const std::string &key) const;
@@ -249,8 +296,8 @@ class ServingSimulator
      * Build each combo's prefix-cached trace + solo metrics
      * (idempotent; fans across @p pool; calibrates on demand).
      * Deferred off the calibration path so cache-disabled runs do no
-     * hit-trace work; replays with an enabled cache call it first,
-     * and the cluster layer must before costing hit codes itself.
+     * hit-trace work; replays with an enabled cache call it before
+     * costing hit codes.
      */
     void ensureHitTraces(ThreadPool *pool);
 
@@ -301,8 +348,15 @@ class ServingSimulator
     std::vector<size_t> class_combo_; ///< mix class -> combo
     std::vector<size_t> class_dense_; ///< mix class -> dense reference
 
-    /** Fused metrics per batch composition (code sequence). */
-    std::map<std::vector<size_t>, RunMetrics> batch_cache_;
+    /** (tp, effective dp, composition codes) of a cost entry. */
+    using CostKey = std::tuple<int, int, std::vector<size_t>>;
+    static CostKey costKey(const std::vector<size_t> &comp, int tp,
+                           int dp);
+    /** Uncached cost of a key (thread-safe: reads only). */
+    CompositionCost simulateComposition(const CostKey &key) const;
+
+    /** Cost per split composition (see costComposition). */
+    std::map<CostKey, CompositionCost> batch_cache_;
 };
 
 } // namespace focus

@@ -504,14 +504,16 @@ shardShare(int64_t total, int shard, int shards)
 } // namespace
 
 std::vector<WorkloadTrace>
-splitTensorParallel(const WorkloadTrace &trace, int tp)
+splitTensorParallel(WorkloadTrace trace, int tp)
 {
     if (tp <= 0) {
         fatal("splitTensorParallel: invalid split factor %d (want a "
               "positive tensor-parallel degree)", tp);
     }
     if (tp == 1) {
-        return {trace};
+        std::vector<WorkloadTrace> whole;
+        whole.push_back(std::move(trace));
+        return whole;
     }
     if (static_cast<int64_t>(tp) > trace.heads) {
         fatal("splitTensorParallel: invalid split factor %d (trace "

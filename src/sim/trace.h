@@ -298,12 +298,13 @@ TraceWork traceWork(const WorkloadTrace &trace);
  * activation set, which is what the post-layer all-reduce pays for.
  * Shards carry tp_degree/tp_rank so simulateAccelerator adds the
  * reduce-scatter + all-gather interconnect term after O-proj and
- * down; tp == 1 returns the input verbatim.
+ * down; tp == 1 returns the input verbatim (taken by value, so a
+ * caller that moves its trace in pays no copy on the unsplit path).
  *
  * Fatal when tp is non-positive or exceeds the head count (a shard
  * would own no attention head).
  */
-std::vector<WorkloadTrace> splitTensorParallel(const WorkloadTrace &trace,
+std::vector<WorkloadTrace> splitTensorParallel(WorkloadTrace trace,
                                                int tp);
 
 /**

@@ -20,7 +20,9 @@
 
 #include "runtime/thread_pool.h"
 #include "serve/cluster.h"
+#include "sim/accel_model.h"
 #include "sim/systolic.h"
+#include "sim/trace.h"
 
 namespace focus
 {
@@ -417,8 +419,7 @@ TEST(Cluster, HashRoutingKeepsPrefixAffinity)
     for (const ServeRequest &r : stream) {
         const RequestClass &cls =
             q.mix[static_cast<size_t>(r.class_id)];
-        const std::string key =
-            ClusterSimulator::routingKey(r, cls);
+        const std::string key = prefixKey(r, cls);
         const int replica = ring.route(key);
         const auto it = seen.find(key);
         if (it != seen.end()) {
@@ -583,6 +584,54 @@ TEST(Cluster, ContinuousBatchingNeverStretchesTheMakespan)
     }
 }
 
+/**
+ * Oracle for a serial-boundary split replay: every batch's cost is
+ * recomputed directly — splitDataParallel -> splitTensorParallel ->
+ * simulateAccelerator, keeping the slowest shard and summing every
+ * shard's interconnect — and must equal the recorded batch, and the
+ * fleet's interconnect total must equal the sum over batches.
+ */
+void
+expectSplitCostsMatchOracle(ServingSimulator &base,
+                            const ClusterReport &rep, int tp, int dp)
+{
+    std::map<int64_t, const RequestOutcome *> by_id;
+    for (const RequestOutcome &o : rep.merged.outcomes) {
+        by_id[o.id] = &o;
+    }
+    uint64_t interconnect = 0;
+    size_t largest = 0;
+    for (const BatchRecord &b : rep.merged.batches) {
+        largest = std::max(largest, b.request_ids.size());
+        std::vector<const WorkloadTrace *> parts;
+        for (const int64_t id : b.request_ids) {
+            const RequestOutcome &o = *by_id.at(id);
+            parts.push_back(&base.codeTrace(ServingSimulator::comboCode(
+                base.classCombo(o.class_id), o.prefix_hit)));
+        }
+        const int groups =
+            std::min(dp, static_cast<int>(parts.size()));
+        double worst = -1.0;
+        uint64_t cycles = 0;
+        for (const WorkloadTrace &g : splitDataParallel(parts, groups)) {
+            for (const WorkloadTrace &sh : splitTensorParallel(g, tp)) {
+                const RunMetrics m =
+                    simulateAccelerator(AccelConfig::focus(), sh);
+                interconnect += m.interconnect_bytes;
+                if (m.seconds() > worst) {
+                    worst = m.seconds();
+                    cycles = m.cycles;
+                }
+            }
+        }
+        EXPECT_EQ(b.metrics.cycles, cycles);
+        EXPECT_EQ(b.service_s, worst);
+    }
+    EXPECT_EQ(rep.interconnect_bytes, interconnect);
+    // Some batch must actually split across data-parallel groups.
+    EXPECT_GT(largest, 1u);
+}
+
 TEST(Cluster, AdvancedKnobsStayThreadDeterministic)
 {
     const QueueConfig q = smallOpenConfig(8, 1.0);
@@ -590,29 +639,45 @@ TEST(Cluster, AdvancedKnobsStayThreadDeterministic)
     sched.policy = BatchPolicy::Timeout;
     sched.max_batch = 4;
 
-    ClusterConfig cfg;
-    cfg.replicas = 2;
-    cfg.tensor_parallel = 2;
-    cfg.continuous_theta = 0.3;
-    cfg.shed_backlog_s = 500.0;
+    // Continuous batching with shedding, then serial batch
+    // boundaries on a tp x dp split engine — the replica replay that
+    // pre-costs its split compositions across the pool.
+    ClusterConfig continuous;
+    continuous.replicas = 2;
+    continuous.tensor_parallel = 2;
+    continuous.continuous_theta = 0.3;
+    continuous.shed_backlog_s = 500.0;
+    ClusterConfig split;
+    split.replicas = 2;
+    split.tensor_parallel = 2;
+    split.data_parallel = 2;
 
-    ThreadPool pool1(1);
-    ServingSimulator base1(q, AccelConfig::focus(), smallEval());
-    const ClusterReport a =
-        ClusterSimulator(base1, cfg).run(sched, &pool1);
+    for (const ClusterConfig &cfg : {continuous, split}) {
+        ThreadPool pool1(1);
+        ServingSimulator base1(q, AccelConfig::focus(), smallEval());
+        const ClusterReport a =
+            ClusterSimulator(base1, cfg).run(sched, &pool1);
 
-    ThreadPool pool4(4);
-    ServingSimulator base4(q, AccelConfig::focus(), smallEval());
-    const ClusterReport b =
-        ClusterSimulator(base4, cfg).run(sched, &pool4);
+        ThreadPool pool4(4);
+        ServingSimulator base4(q, AccelConfig::focus(), smallEval());
+        const ClusterReport b =
+            ClusterSimulator(base4, cfg).run(sched, &pool4);
 
-    expectReportsIdentical(a.merged, b.merged);
-    EXPECT_EQ(a.interconnect_bytes, b.interconnect_bytes);
-    EXPECT_EQ(a.shed, b.shed);
-    ASSERT_EQ(a.replicas.size(), b.replicas.size());
-    for (size_t r = 0; r < a.replicas.size(); ++r) {
-        EXPECT_EQ(a.replicas[r].routed, b.replicas[r].routed);
-        EXPECT_EQ(a.replicas[r].busy_s, b.replicas[r].busy_s);
+        expectReportsIdentical(a.merged, b.merged);
+        EXPECT_EQ(a.interconnect_bytes, b.interconnect_bytes);
+        EXPECT_GT(a.interconnect_bytes, 0u);
+        EXPECT_EQ(a.shed, b.shed);
+        ASSERT_EQ(a.replicas.size(), b.replicas.size());
+        for (size_t r = 0; r < a.replicas.size(); ++r) {
+            EXPECT_EQ(a.replicas[r].routed, b.replicas[r].routed);
+            EXPECT_EQ(a.replicas[r].busy_s, b.replicas[r].busy_s);
+            EXPECT_EQ(a.replicas[r].interconnect_bytes,
+                      b.replicas[r].interconnect_bytes);
+        }
+        if (cfg.continuous_theta <= 0.0) {
+            expectSplitCostsMatchOracle(base1, a, cfg.tensor_parallel,
+                                        cfg.data_parallel);
+        }
     }
 }
 

@@ -3,9 +3,9 @@
  * Tests for the cross-request prefix cache tier: the cache proper
  * (doorkeeper admission, LRU-within-a-byte-budget, stats), the
  * prefix-cached trace transform, Zipf-skewed prefix identities, and
- * the serving/cluster integration contracts — FOCUS_PREFIX_CACHE=off
- * and a zero budget reproduce the pre-cache replay bit for bit at
- * every thread count, hits reduce latency, hash-affinity routing
+ * the serving/cluster integration contracts — a zero budget (the
+ * cache's only off switch) reproduces the no-cache replay bit for bit
+ * at every thread count, hits reduce latency, hash-affinity routing
  * beats round-robin on hit rate, and a cluster of one replica with a
  * cache matches the single box with the same cache.
  */
@@ -99,27 +99,6 @@ timeoutSched()
     return sched;
 }
 
-/**
- * Save/restore the process-wide prefix-cache mode around a test and
- * force it On, so the suite also passes under the CI leg that runs
- * with FOCUS_PREFIX_CACHE=off in the environment.
- */
-class ModeGuard
-{
-  public:
-    ModeGuard() : mode_(activePrefixCacheMode())
-    {
-        setPrefixCacheMode(PrefixCacheMode::On);
-    }
-    ~ModeGuard() { setPrefixCacheMode(mode_); }
-
-    ModeGuard(const ModeGuard &) = delete;
-    ModeGuard &operator=(const ModeGuard &) = delete;
-
-  private:
-    const PrefixCacheMode mode_;
-};
-
 /** Every numeric field of two reports must match bit for bit. */
 void
 expectReportsIdentical(const ServingReport &a, const ServingReport &b)
@@ -178,9 +157,6 @@ TEST(PrefixCacheDeathTest, RejectsDegenerateInputs)
         "single-query");
     EXPECT_DEATH(
         {
-            // Runs in the death-test child: force the mode On so the
-            // check fires even under a FOCUS_PREFIX_CACHE=off leg.
-            setPrefixCacheMode(PrefixCacheMode::On);
             PrefixCache c(ampleConfig());
             c.admit("k", slab(0, 8));
         },
@@ -193,7 +169,6 @@ TEST(PrefixCacheDeathTest, RejectsDegenerateInputs)
 
 TEST(PrefixCache, DoorkeeperAdmitsOnSecondMiss)
 {
-    ModeGuard guard;
     PrefixCache c(ampleConfig());
     ASSERT_TRUE(c.enabled());
 
@@ -220,7 +195,6 @@ TEST(PrefixCache, DoorkeeperAdmitsOnSecondMiss)
 
 TEST(PrefixCache, LruEvictionWithinByteBudget)
 {
-    ModeGuard guard;
     // Budget fits exactly two 8 KiB slabs.
     PrefixCacheConfig cfg;
     cfg.budget_bytes = 2 * 64 * 64 * 2;
@@ -254,7 +228,6 @@ TEST(PrefixCache, LruEvictionWithinByteBudget)
 
 TEST(PrefixCache, OversizedSlabIsRejectedNotStored)
 {
-    ModeGuard guard;
     PrefixCacheConfig cfg;
     cfg.budget_bytes = 1024;
     PrefixCache c(cfg);
@@ -268,8 +241,7 @@ TEST(PrefixCache, OversizedSlabIsRejectedNotStored)
 
 TEST(PrefixCache, DisabledCacheCountsNothing)
 {
-    ModeGuard guard;
-    // Zero budget disables regardless of mode.
+    // A zero budget (the default) disables the cache.
     PrefixCacheConfig zero;
     PrefixCache z(zero);
     EXPECT_FALSE(z.enabled());
@@ -277,21 +249,12 @@ TEST(PrefixCache, DisabledCacheCountsNothing)
     z.admit("a", slab(64, 64));
     EXPECT_EQ(z.stats().lookups, 0);
     EXPECT_EQ(z.stats().misses, 0);
-
-    // FOCUS_PREFIX_CACHE=off disables even with a budget.
-    setPrefixCacheMode(PrefixCacheMode::Off);
-    PrefixCache off(ampleConfig());
-    EXPECT_FALSE(off.enabled());
-    EXPECT_FALSE(off.lookup("a"));
-    EXPECT_EQ(off.stats().lookups, 0);
-
-    EXPECT_STREQ(prefixCacheModeName(PrefixCacheMode::On), "on");
-    EXPECT_STREQ(prefixCacheModeName(PrefixCacheMode::Off), "off");
+    EXPECT_EQ(z.stats().admissions, 0);
+    EXPECT_EQ(z.stats().rejected, 0);
 }
 
 TEST(PrefixCache, Bf16SlabsCarryLargerRoundTripError)
 {
-    ModeGuard guard;
     PrefixCacheConfig f16 = ampleConfig();
     PrefixCacheConfig bf16 = ampleConfig();
     bf16.format = SlabFormat::Bf16;
@@ -406,7 +369,7 @@ TEST(RequestQueue, ZipfSkewsPrefixPopularity)
     }
 }
 
-TEST(RequestQueue, PrefixKeyMatchesClusterRoutingKey)
+TEST(RequestQueue, PrefixKeyJoinsClassLabelAndPrefixId)
 {
     const QueueConfig q = cachedOpenConfig(8);
     const std::vector<ServeRequest> s = RequestQueue(q).generate();
@@ -416,7 +379,6 @@ TEST(RequestQueue, PrefixKeyMatchesClusterRoutingKey)
         const std::string key = prefixKey(r, cls);
         EXPECT_EQ(key, cls.label() + "#" +
                            std::to_string(r.prefix_id));
-        EXPECT_EQ(key, ClusterSimulator::routingKey(r, cls));
     }
 }
 
@@ -424,9 +386,8 @@ TEST(RequestQueue, PrefixKeyMatchesClusterRoutingKey)
 // serving integration
 // ---------------------------------------------------------------
 
-TEST(ServingPrefixCache, OffAndZeroBudgetAreBitIdentical)
+TEST(ServingPrefixCache, ZeroBudgetIsBitIdentical)
 {
-    ModeGuard guard;
     const QueueConfig q = cachedOpenConfig(12);
     const SchedulerConfig sched = timeoutSched();
 
@@ -440,14 +401,6 @@ TEST(ServingPrefixCache, OffAndZeroBudgetAreBitIdentical)
     const ServingReport r_zero = zero.run(sched);
     expectReportsIdentical(r_base, r_zero);
 
-    // FOCUS_PREFIX_CACHE=off with an ample budget.
-    setPrefixCacheMode(PrefixCacheMode::Off);
-    ServingSimulator off(q, AccelConfig::focus(), smallEval());
-    off.setPrefixCache(ampleConfig());
-    const ServingReport r_off = off.run(sched);
-    setPrefixCacheMode(PrefixCacheMode::On);
-    expectReportsIdentical(r_base, r_off);
-
     // And the baseline itself is thread-count invariant.
     ThreadPool p4(4);
     ServingSimulator base4(q, AccelConfig::focus(), smallEval());
@@ -457,7 +410,6 @@ TEST(ServingPrefixCache, OffAndZeroBudgetAreBitIdentical)
 
 TEST(ServingPrefixCache, HitsReduceLatencyAndAreThreadInvariant)
 {
-    ModeGuard guard;
     const QueueConfig q = cachedOpenConfig(16);
     const SchedulerConfig sched = timeoutSched();
 
@@ -510,7 +462,6 @@ TEST(ServingPrefixCache, HitsReduceLatencyAndAreThreadInvariant)
 
 TEST(ServingPrefixCache, HitRateGrowsWithBudget)
 {
-    ModeGuard guard;
     const QueueConfig q = cachedOpenConfig(24, 8);
     const SchedulerConfig sched = timeoutSched();
     ServingSimulator sim(q, AccelConfig::focus(), smallEval());
@@ -540,7 +491,6 @@ TEST(ServingPrefixCache, HitRateGrowsWithBudget)
 
 TEST(ClusterPrefixCache, ClusterOfOneMatchesSingleBox)
 {
-    ModeGuard guard;
     const QueueConfig q = cachedOpenConfig(12);
     const SchedulerConfig sched = timeoutSched();
 
@@ -563,7 +513,6 @@ TEST(ClusterPrefixCache, ClusterOfOneMatchesSingleBox)
 
 TEST(ClusterPrefixCache, HashAffinityBeatsRoundRobinHitRate)
 {
-    ModeGuard guard;
     // 4 replicas, enough requests that hot prefixes repeat per
     // replica under affinity routing.
     const QueueConfig q = cachedOpenConfig(48, 8);
@@ -587,8 +536,9 @@ TEST(ClusterPrefixCache, HashAffinityBeatsRoundRobinHitRate)
     EXPECT_GT(r_hash.prefix_cache.hitRate(),
               r_rr.prefix_cache.hitRate());
 
-    // Advanced path (tensor-parallel shards) still resolves the
-    // cache and stays deterministic across thread counts.
+    // A tensor-parallel split replays through the same open-loop
+    // path: it resolves the cache identically (same hits as the
+    // unsplit fleet) and stays deterministic across thread counts.
     ClusterConfig tp = hashed;
     tp.tensor_parallel = 2;
     const ClusterReport r_tp1 = ClusterSimulator(sim, tp).run(sched);

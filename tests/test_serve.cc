@@ -10,8 +10,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "eval/evaluator.h"
+#include "obs/metrics.h"
 #include "runtime/thread_pool.h"
 #include "serve/serving_sim.h"
 #include "workload/profiles.h"
@@ -336,6 +340,73 @@ TEST(ServingSim, ClosedLoopRespectsClientCausality)
         EXPECT_GE(rep.batches[b].start_s,
                   rep.batches[b - 1].start_s +
                       rep.batches[b - 1].service_s);
+    }
+}
+
+/** Counters mode with a zeroed registry for one test's scope. */
+struct CountersGuard
+{
+    obs::ObsMode saved = obs::activeObsMode();
+    CountersGuard()
+    {
+        obs::setObsMode(obs::ObsMode::Counters);
+        obs::MetricsRegistry::instance().resetAll();
+    }
+    ~CountersGuard()
+    {
+        obs::MetricsRegistry::instance().resetAll();
+        obs::setObsMode(saved);
+    }
+};
+
+/**
+ * Bucket counts (overflow last) of a registered histogram, read back
+ * from the registry's metrics.json; empty when not registered.
+ */
+std::vector<uint64_t>
+histogramCounts(const std::string &name)
+{
+    const std::string json = obs::MetricsRegistry::instance().toJson();
+    const size_t at = json.find("\"" + name + "\"");
+    if (at == std::string::npos) {
+        return {};
+    }
+    const std::string tag = "\"counts\": [";
+    const size_t open = json.find(tag, at) + tag.size();
+    std::istringstream in(json.substr(open, json.find(']', open) - open));
+    std::vector<uint64_t> counts;
+    std::string item;
+    while (std::getline(in, item, ',')) {
+        counts.push_back(std::stoull(item));
+    }
+    return counts;
+}
+
+TEST(ServingSim, LatencyHistogramCoversQueuedLatencies)
+{
+    CountersGuard guard;
+    // A 12-request burst onto one FIFO engine: the queue backs up to
+    // many full-scale prefills, pushing the latency tail far past the
+    // few-minute range.
+    QueueConfig q = smallOpenConfig(12);
+    q.arrival_rate_rps = 1.0;
+    SchedulerConfig sched;
+    sched.policy = BatchPolicy::Single;
+    ServingSimulator sim(q, AccelConfig::focus(), smallEval());
+    const ServingReport rep = sim.run(sched);
+    ASSERT_GT(rep.latency.max, 256.0);
+
+    for (const ClassOutcome &co : rep.classes) {
+        const std::vector<uint64_t> counts =
+            histogramCounts("serve.class." + co.label + ".latency_s");
+        ASSERT_FALSE(counts.empty()) << co.label;
+        uint64_t total = 0;
+        for (const uint64_t c : counts) {
+            total += c;
+        }
+        EXPECT_EQ(total, static_cast<uint64_t>(co.requests));
+        // Every simulated latency lands in a finite bucket.
+        EXPECT_EQ(counts.back(), 0u) << co.label;
     }
 }
 
