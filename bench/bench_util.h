@@ -20,7 +20,6 @@
 #define FOCUS_BENCH_BENCH_UTIL_H
 
 #include <chrono>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -28,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/cli.h"
 #include "common/logging.h"
 #include "eval/experiment.h"
 #include "eval/evaluator.h"
@@ -58,22 +58,6 @@ struct BenchOptions
     /** Explicit --requests=N stream length (0 = bench default). */
     int requests = 0;
 };
-
-/**
- * Parse the whole of @p text (the value part of @p arg) as a positive
- * int; anything else — trailing junk, a sign, overflow — is fatal.
- */
-inline int
-parsePositiveInt(const char *text, const char *arg, const char *what)
-{
-    char *end = nullptr;
-    const long v = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || v < 1 || v > INT_MAX) {
-        fatal("invalid %s in '%s' (want a positive integer)", what,
-              arg);
-    }
-    return static_cast<int>(v);
-}
 
 /**
  * Parse "[samples] [--threads=N] [--batch=N] [--arrival-rate=R]

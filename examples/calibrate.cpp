@@ -5,11 +5,10 @@
  * hyper-parameters can be placed in the paper's operating regime.
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/cli.h"
 #include "eval/evaluator.h"
 
 using namespace focus;
@@ -18,7 +17,10 @@ int
 main(int argc, char **argv)
 {
     EvalOptions opts;
-    opts.samples = argc > 1 ? std::max(1, std::atoi(argv[1])) : 8;
+    rejectExtraArgs(argc, argv, 2, "[samples] [dataset]");
+    opts.samples = argc > 1
+        ? parsePositiveInt(argv[1], argv[1], "sample count")
+        : 8;
     const std::string dataset = argc > 2 ? argv[2] : "VideoMME";
 
     Evaluator ev("Llava-Vid", dataset, opts);

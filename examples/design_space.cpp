@@ -13,10 +13,9 @@
  * sweep a design.
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/cli.h"
 #include "eval/experiment.h"
 #include "eval/report.h"
 #include "sim/area.h"
@@ -27,7 +26,10 @@ int
 main(int argc, char **argv)
 {
     EvalOptions opts;
-    opts.samples = argc > 1 ? std::max(1, std::atoi(argv[1])) : 4;
+    rejectExtraArgs(argc, argv, 1, "[samples]");
+    opts.samples = argc > 1
+        ? parsePositiveInt(argv[1], argv[1], "sample count")
+        : 4;
 
     std::printf("Functional measurement (one grid cell, reused by "
                 "every design point; %d threads)...\n",

@@ -11,10 +11,9 @@
  * GPU model, and Focus.
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/cli.h"
 #include "eval/evaluator.h"
 #include "eval/report.h"
 #include "sim/gpu_model.h"
@@ -25,7 +24,10 @@ int
 main(int argc, char **argv)
 {
     EvalOptions opts;
-    opts.samples = argc > 1 ? std::max(1, std::atoi(argv[1])) : 4;
+    rejectExtraArgs(argc, argv, 1, "[samples]");
+    opts.samples = argc > 1
+        ? parsePositiveInt(argv[1], argv[1], "sample count")
+        : 4;
 
     Evaluator ev("Llava-Vid", "VideoMME", opts);
 

@@ -12,10 +12,9 @@
  * stream-level throughput/latency came out to.
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/cli.h"
 #include "eval/report.h"
 #include "serve/serving_sim.h"
 
@@ -25,7 +24,10 @@ int
 main(int argc, char **argv)
 {
     EvalOptions opts;
-    opts.samples = argc > 1 ? std::max(1, std::atoi(argv[1])) : 2;
+    rejectExtraArgs(argc, argv, 1, "[samples]");
+    opts.samples = argc > 1
+        ? parsePositiveInt(argv[1], argv[1], "sample count")
+        : 2;
 
     QueueConfig queue;
     queue.process = ArrivalProcess::OpenPoisson;

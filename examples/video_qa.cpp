@@ -15,9 +15,9 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "common/cli.h"
 #include "eval/evaluator.h"
 
 using namespace focus;
@@ -39,8 +39,10 @@ shade(double v)
 int
 main(int argc, char **argv)
 {
-    const uint64_t sample_idx =
-        argc > 1 ? static_cast<uint64_t>(std::atoll(argv[1])) : 0;
+    rejectExtraArgs(argc, argv, 1, "[sample_index]");
+    const uint64_t sample_idx = argc > 1
+        ? parseNonNegativeU64(argv[1], argv[1], "sample index")
+        : 0;
 
     EvalOptions opts;
     opts.samples = 1;

@@ -16,10 +16,9 @@
  * object?), sparsity, and speedup/energy over the dense array.
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/cli.h"
 #include "eval/evaluator.h"
 #include "eval/report.h"
 
@@ -29,7 +28,10 @@ int
 main(int argc, char **argv)
 {
     EvalOptions opts;
-    opts.samples = argc > 1 ? std::max(1, std::atoi(argv[1])) : 8;
+    rejectExtraArgs(argc, argv, 1, "[samples]");
+    opts.samples = argc > 1
+        ? parsePositiveInt(argv[1], argv[1], "sample count")
+        : 8;
 
     std::printf("VLA extension demo: manipulation episodes "
                 "(%d episodes)\n\n", opts.samples);

@@ -9,6 +9,8 @@
 
 #include "common/logging.h"
 #include "common/math_util.h"
+#include "obs/metrics.h"
+#include "obs/trace_span.h"
 #include "sim/dram.h"
 #include "sim/systolic.h"
 
@@ -25,9 +27,6 @@ mapBytes(double vectors)
     // 2-byte compact index per vector position (10 bits padded).
     return static_cast<uint64_t>(std::llround(vectors * 2.0));
 }
-
-/** Cap on recorded tile lengths (Fig. 13 histogram sample). */
-constexpr size_t kTileLengthCap = 200000;
 
 /**
  * One-time config validation at simulation entry: every division in
@@ -95,8 +94,9 @@ doubleBits(double v)
 
 RunMetrics
 simulateAccelerator(const AccelConfig &cfg, const WorkloadTrace &trace,
-                    const EnergyParams &ep)
+                    const EnergyParams &ep, size_t tile_log_cap)
 {
+    obs::TraceSpan span("sim.simulate");
     validateAccelConfig(cfg);
 
     RunMetrics rm;
@@ -110,8 +110,13 @@ simulateAccelerator(const AccelConfig &cfg, const WorkloadTrace &trace,
     // Fast backend: layers repeat geometry, so (TimingKey -> timing)
     // hits replace whole tile walks.  The walk backend stays cacheless
     // — it is the reference the equivalence suite diffs against.
+    // Entries carry no tile lengths: while the log has room a SIC
+    // GEMM is timed fresh (the memo is pure, so the scalars match a
+    // hit exactly) and appends straight into rm.tile_lengths.
     const bool memoize = activeSimBackend() == SimBackend::Fast;
     std::map<TimingKey, GemmTiming> timing_cache;
+    uint64_t memo_hits = 0;
+    uint64_t memo_misses = 0;
 
     const bool is_focus_arch = cfg.arch == ArchKind::Focus;
     const bool is_cmc = cfg.arch == ArchKind::CMC;
@@ -146,59 +151,40 @@ simulateAccelerator(const AccelConfig &cfg, const WorkloadTrace &trace,
             FracSampler mean_sampler(nullptr, g.psi_in);
             FracSampler &sampler = use_dist ? psi_dist : mean_sampler;
 
-            GemmTiming fresh;
-            const GemmTiming *timing = nullptr;
-            if (memoize) {
-                const TimingKey key{
-                    g.m, g.k, g.n, sic_in, gather,
-                    doubleBits(g.psi_in),
-                    use_dist
-                        ? static_cast<int64_t>(psi_dist.cursor())
-                        : -1};
-                const auto it = timing_cache.find(key);
-                if (it != timing_cache.end()) {
-                    // Leave the shared sampler exactly where a real
-                    // walk would have (sampler-order invariant).
-                    if (use_dist) {
-                        psi_dist.advance(
-                            timeGemmDraws(cfg, g.m, g.k, g.n));
-                    }
-                    timing = &it->second;
-                } else {
-                    fresh = timeGemm(cfg, g.m, g.k, g.n, sampler,
-                                     sic_in, gather);
-                    timing = &timing_cache
-                                  .emplace(key, std::move(fresh))
-                                  .first->second;
+            const bool log_tiles =
+                sic_in && rm.tile_lengths.size() < tile_log_cap;
+            const TimingKey key{
+                g.m, g.k, g.n, sic_in, gather, doubleBits(g.psi_in),
+                use_dist ? static_cast<int64_t>(psi_dist.cursor())
+                         : -1};
+            const auto hit = memoize ? timing_cache.find(key)
+                                     : timing_cache.end();
+            GemmTiming t;
+            if (hit != timing_cache.end() && !log_tiles) {
+                // Leave the shared sampler exactly where a real walk
+                // would have (sampler-order invariant).
+                if (use_dist) {
+                    psi_dist.advance(timeGemmDraws(cfg, g.m, g.k, g.n));
                 }
+                t = hit->second;
+                ++memo_hits;
             } else {
-                fresh = timeGemm(cfg, g.m, g.k, g.n, sampler, sic_in,
-                                 gather);
-                timing = &fresh;
+                t = timeGemm(cfg, g.m, g.k, g.n, sampler, sic_in, gather,
+                             log_tiles ? &rm.tile_lengths : nullptr,
+                             log_tiles
+                                 ? tile_log_cap - rm.tile_lengths.size()
+                                 : 0);
+                if (memoize && hit == timing_cache.end()) {
+                    timing_cache.emplace(key, t);
+                }
+                ++memo_misses;
             }
-            const GemmTiming &t = *timing;
             layer_compute += t.cycles * g.count;
             rm.stall_scatter += t.stall_scatter * g.count;
             rm.stall_matcher += t.stall_matcher * g.count;
             rm.mac_ops += t.mac_ops * g.count;
             rm.scatter_ops += t.scatter_ops * g.count;
             rm.matcher_ops += t.matcher_ops * g.count;
-            if (sic_in && rm.tile_lengths.size() < kTileLengthCap) {
-                // Truncate the batch insert precisely at the cap (a
-                // whole-batch insert used to overshoot it by up to
-                // one GEMM's worth of tiles).
-                if (rm.tile_lengths.empty()) {
-                    rm.tile_lengths.reserve(kTileLengthCap);
-                }
-                const size_t room =
-                    kTileLengthCap - rm.tile_lengths.size();
-                const size_t take =
-                    std::min(room, t.tile_lengths.size());
-                rm.tile_lengths.insert(
-                    rm.tile_lengths.end(), t.tile_lengths.begin(),
-                    t.tile_lengths.begin() +
-                        static_cast<int64_t>(take));
-            }
 
             // ---- DRAM traffic ----
             const int64_t m_tiles = ceilDiv(g.m, cfg.m_tile);
@@ -397,9 +383,18 @@ simulateAccelerator(const AccelConfig &cfg, const WorkloadTrace &trace,
         rm.cycles += layer_total;
     }
 
-    // Drop the cap-sized reservation slack: RunMetrics objects are
-    // stored long-term (serving composition cache, grid results).
-    rm.tile_lengths.shrink_to_fit();
+    // Published once per call, so FOCUS_OBS=off adds no per-GEMM work.
+    if (obs::countersEnabled()) {
+        obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
+        static obs::Counter &hits = reg.counter("sim.timing_memo_hits");
+        static obs::Counter &misses =
+            reg.counter("sim.timing_memo_misses");
+        static obs::Counter &logged =
+            reg.counter("sim.tile_log_entries");
+        hits.add(memo_hits);
+        misses.add(memo_misses);
+        logged.add(rm.tile_lengths.size());
+    }
 
     rm.mean_input_frac = input_frac_den > 0.0
         ? input_frac_sum / input_frac_den : 1.0;

@@ -21,6 +21,7 @@
 #ifndef FOCUS_SIM_ACCEL_MODEL_H
 #define FOCUS_SIM_ACCEL_MODEL_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -84,7 +85,11 @@ struct RunMetrics
     /** Cycle-weighted PE utilization. */
     double utilization = 0.0;
 
-    /** Concentrated tile lengths (Fig. 13); empty unless SIC ran. */
+    /**
+     * The first `tile_log_cap` concentrated tile lengths (Fig. 13),
+     * in simulation order; empty (and unallocated) at the default
+     * cap of 0 or when no SIC GEMM ran.
+     */
     std::vector<int64_t> tile_lengths;
 
     /** Mean input-matrix size relative to dense (Fig. 12(b)). */
@@ -124,10 +129,16 @@ struct RunMetrics
     }
 };
 
-/** Simulate @p trace on @p cfg. */
+/**
+ * Simulate @p trace on @p cfg.  @p tile_log_cap bounds the recorded
+ * tile-length log (RunMetrics::tile_lengths); every scalar metric is
+ * the same for any cap.  Only the Fig. 13 histogram asks for a log —
+ * it costs one fresh timing per SIC GEMM until the log is full.
+ */
 RunMetrics simulateAccelerator(const AccelConfig &cfg,
                                const WorkloadTrace &trace,
-                               const EnergyParams &ep = {});
+                               const EnergyParams &ep = {},
+                               size_t tile_log_cap = 0);
 
 } // namespace focus
 

@@ -97,22 +97,69 @@ cyclicRangeSum(const std::vector<T> &prefix, size_t c, uint64_t len)
 }
 
 /**
- * Append @p len entries of the cyclic table @p tab starting at
- * position @p c < S, in chunked bulk inserts.
+ * Bounded append cursor over an optional tile-length log: every
+ * append truncates exactly at the room left, and a null or full sink
+ * makes each append a no-op.
  */
-void
-appendCyclic(std::vector<int64_t> &out, const std::vector<int64_t> &tab,
-             size_t c, uint64_t len)
+class TileLogSink
 {
-    const size_t S = tab.size();
-    while (len > 0) {
-        const size_t chunk = static_cast<size_t>(
-            std::min<uint64_t>(len, S - c));
-        out.insert(out.end(), tab.begin() + c, tab.begin() + c + chunk);
-        len -= chunk;
-        c = (c + chunk) % S;
+  public:
+    TileLogSink(std::vector<int64_t> *out, size_t room)
+        : out_(out), room_(out != nullptr ? room : 0)
+    {
     }
-}
+
+    void
+    push(int64_t p)
+    {
+        if (room_ > 0) {
+            out_->push_back(p);
+            --room_;
+        }
+    }
+
+    /** Append @p len copies of @p p. */
+    void
+    fill(uint64_t len, int64_t p)
+    {
+        const size_t take = claim(len);
+        if (take > 0) {
+            out_->insert(out_->end(), take, p);
+        }
+    }
+
+    /**
+     * Append @p len entries of the cyclic table @p tab starting at
+     * position @p c < tab.size(), in chunked bulk inserts.
+     */
+    void
+    cyclic(const std::vector<int64_t> &tab, size_t c, uint64_t len)
+    {
+        size_t left = claim(len);
+        const size_t S = tab.size();
+        while (left > 0) {
+            const size_t chunk = std::min(left, S - c);
+            out_->insert(out_->end(), tab.begin() + c,
+                         tab.begin() + c + chunk);
+            left -= chunk;
+            c = (c + chunk) % S;
+        }
+    }
+
+  private:
+    /** Reserve min(@p len, room) entries of the room. */
+    size_t
+    claim(uint64_t len)
+    {
+        const size_t take =
+            static_cast<size_t>(std::min<uint64_t>(len, room_));
+        room_ -= take;
+        return take;
+    }
+
+    std::vector<int64_t> *out_;
+    size_t room_;
+};
 
 } // namespace
 
@@ -161,16 +208,20 @@ setSimBackend(SimBackend b)
 
 GemmTiming
 timeGemm(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
-         FracSampler &psi, bool sic_input, bool gather_out)
+         FracSampler &psi, bool sic_input, bool gather_out,
+         std::vector<int64_t> *tile_log, size_t tile_log_room)
 {
     return activeSimBackend() == SimBackend::Walk
-        ? timeGemmWalk(cfg, m, k, n, psi, sic_input, gather_out)
-        : timeGemmFast(cfg, m, k, n, psi, sic_input, gather_out);
+        ? timeGemmWalk(cfg, m, k, n, psi, sic_input, gather_out,
+                       tile_log, tile_log_room)
+        : timeGemmFast(cfg, m, k, n, psi, sic_input, gather_out,
+                       tile_log, tile_log_room);
 }
 
 GemmTiming
 timeGemmWalk(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
-             FracSampler &psi, bool sic_input, bool gather_out)
+             FracSampler &psi, bool sic_input, bool gather_out,
+             std::vector<int64_t> *tile_log, size_t tile_log_room)
 {
     validateTimingConfig(cfg);
     GemmTiming t;
@@ -185,6 +236,7 @@ timeGemmWalk(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
     const int64_t k_subs = ceilDiv(k, b);
     const int64_t n_tiles = ceilDiv(n, a);
 
+    TileLogSink log(tile_log, tile_log_room);
     uint64_t cycles = 0;
     for (int64_t mt = 0; mt < m_tiles; ++mt) {
         const int64_t m_rows = std::min(cfg.m_tile, m - mt * cfg.m_tile);
@@ -200,7 +252,7 @@ timeGemmWalk(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
                     const double f = clamp(psi.next(), 0.0, 1.0);
                     p = std::max<int64_t>(1, static_cast<int64_t>(
                         std::llround(f * static_cast<double>(m_rows))));
-                    t.tile_lengths.push_back(p);
+                    log.push(p);
                 }
                 const uint64_t compute =
                     static_cast<uint64_t>(p) + fill;
@@ -249,7 +301,8 @@ timeGemmWalk(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
 
 GemmTiming
 timeGemmFast(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
-             FracSampler &psi, bool sic_input, bool gather_out)
+             FracSampler &psi, bool sic_input, bool gather_out,
+             std::vector<int64_t> *tile_log, size_t tile_log_room)
 {
     validateTimingConfig(cfg);
     GemmTiming t;
@@ -309,7 +362,7 @@ timeGemmFast(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
     // exactly the walk's order.
     const uint64_t total_draws = static_cast<uint64_t>(m_tiles) *
         static_cast<uint64_t>(n_tiles) * static_cast<uint64_t>(k_subs);
-    t.tile_lengths.reserve(static_cast<size_t>(total_draws));
+    TileLogSink log(tile_log, tile_log_room);
     const uint64_t matcher_den =
         static_cast<uint64_t>(cfg.sic_matchers);
     const uint64_t scatter_den =
@@ -321,8 +374,8 @@ timeGemmFast(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
     if (!psi.empirical()) {
         // Mean-backed sampler: every draw is the same value, so the
         // whole walk collapses to closed form per (m-band, n-band);
-        // only the tile-length log stays O(draws) (bulk fill, in
-        // m-tile-major walk order — full m-tiles precede the edge).
+        // the tile-length log is a bounded bulk fill, in m-tile-major
+        // walk order (full m-tiles precede the edge).
         for (int mi = 0; mi < mbn; ++mi) {
             const int64_t m_rows = mb[mi].size;
             const double f = clamp(psi.mean(), 0.0, 1.0);
@@ -364,12 +417,10 @@ timeGemmFast(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
                 }
                 t.cycles += tile_cycles * static_cast<uint64_t>(tiles);
             }
-            t.tile_lengths.insert(
-                t.tile_lengths.end(),
-                static_cast<size_t>(mb[mi].count) *
-                    static_cast<size_t>(n_tiles) *
-                    static_cast<size_t>(k_subs),
-                p);
+            log.fill(static_cast<uint64_t>(mb[mi].count) *
+                         static_cast<uint64_t>(n_tiles) *
+                         static_cast<uint64_t>(k_subs),
+                     p);
         }
         return t;
     }
@@ -379,8 +430,8 @@ timeGemmFast(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
     // distribution, so tabulate p (and the sub-tile latency / scatter
     // stall it implies) once per distribution value and distinct tile
     // geometry, with prefix sums; each window then costs O(1) lookups
-    // plus a bulk cyclic append of its tile lengths.  Falls back to
-    // the straight draw loop when the distribution is longer than the
+    // (plus a bulk cyclic append while the log has room).  Falls back
+    // to the straight draw loop when the distribution is longer than the
     // draw count (tabulating would cost more than drawing).
     const std::vector<double> &dist = *psi.dist();
     const size_t S = dist.size();
@@ -413,7 +464,7 @@ timeGemmFast(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
                     const int64_t p = std::max<int64_t>(
                         1, static_cast<int64_t>(
                                std::llround(f * md)));
-                    t.tile_lengths.push_back(p);
+                    log.push(p);
                     p_sum += p;
                     p_last = p;
                     const uint64_t compute =
@@ -500,8 +551,7 @@ timeGemmFast(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
                      static_cast<uint64_t>(fill));
             const int64_t p_last =
                 p_tab[mi][(c + static_cast<size_t>(k_subs) - 1) % S];
-            appendCyclic(t.tile_lengths, p_tab[mi], c,
-                         static_cast<uint64_t>(k_subs));
+            log.cyclic(p_tab[mi], c, static_cast<uint64_t>(k_subs));
             t.scatter_ops += md * n_eff * k_subs;
             t.mac_ops += static_cast<double>(
                 (p_sum - p_last) * b + p_last * last_k_eff) * n_eff;

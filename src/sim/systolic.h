@@ -37,16 +37,23 @@
  *    window a cyclic slice of the distribution, so the per-value
  *    arithmetic (p, sub-tile latency, scatter stall) is tabulated
  *    once per distinct tile geometry and each window reduces to
- *    prefix-sum lookups plus a bulk tile-length append; a mean-backed
- *    sampler collapses to closed form outright.  The draw consumption
- *    order (m-tile, n-tile, k-sub-tile, exactly one draw per
- *    sub-tile) is identical to the walk's, which
- *    `tests/test_sim_equiv.cc` asserts bit-for-bit.
+ *    prefix-sum lookups; a mean-backed sampler collapses to closed
+ *    form outright.  The draw consumption order (m-tile, n-tile,
+ *    k-sub-tile, exactly one draw per sub-tile) is identical to the
+ *    walk's, which `tests/test_sim_equiv.cc` asserts bit-for-bit.
+ *
+ * Tile-length log (Fig. 13): both backends can append the per-sub-tile
+ * p values, in walk order, to a caller-owned sink — but only up to
+ * the room the caller grants, so the log costs O(room), never
+ * O(draws).  Without a sink (the default) nothing is allocated and
+ * the fast path does no per-draw work at all; the timing result and
+ * the sampler state are the same for every room.
  */
 
 #ifndef FOCUS_SIM_SYSTOLIC_H
 #define FOCUS_SIM_SYSTOLIC_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -124,9 +131,6 @@ struct GemmTiming
     double scatter_ops = 0.0;     ///< accumulator element operations
     double matcher_ops = 0.0;     ///< similarity compare element ops
 
-    /** Tile lengths (p per input sub-tile) observed, for Fig. 13. */
-    std::vector<int64_t> tile_lengths;
-
     /** PE utilization = mac_ops / (cycles * a * b). */
     double utilization(const AccelConfig &cfg) const;
 };
@@ -172,20 +176,30 @@ void setSimBackend(SimBackend b);
  * @param psi      sampler for per-(m-tile, k-subtile) input unique
  *                 fractions (1.0 when the input is dense)
  * @param gather_out whether the output stream passes the matcher
+ * @param tile_log optional sink for the SIC tile lengths (p per input
+ *                 sub-tile, walk order); nullptr records nothing
+ * @param tile_log_room most entries appended to @p tile_log; the
+ *                 log stops exactly there
  */
 GemmTiming timeGemm(const AccelConfig &cfg, int64_t m, int64_t k,
                     int64_t n, FracSampler &psi, bool sic_input,
-                    bool gather_out);
+                    bool gather_out,
+                    std::vector<int64_t> *tile_log = nullptr,
+                    size_t tile_log_room = 0);
 
 /** The reference per-tile walk (FOCUS_SIM_BACKEND=walk). */
 GemmTiming timeGemmWalk(const AccelConfig &cfg, int64_t m, int64_t k,
                         int64_t n, FracSampler &psi, bool sic_input,
-                        bool gather_out);
+                        bool gather_out,
+                        std::vector<int64_t> *tile_log = nullptr,
+                        size_t tile_log_room = 0);
 
 /** The aggregated closed-form model (FOCUS_SIM_BACKEND=fast). */
 GemmTiming timeGemmFast(const AccelConfig &cfg, int64_t m, int64_t k,
                         int64_t n, FracSampler &psi, bool sic_input,
-                        bool gather_out);
+                        bool gather_out,
+                        std::vector<int64_t> *tile_log = nullptr,
+                        size_t tile_log_room = 0);
 
 /**
  * Number of FracSampler draws a SIC-input timeGemm of this shape

@@ -138,11 +138,30 @@ TEST(AccelModel, TileLengthsRecordedOnlyForSic)
 {
     Traces t;
     const RunMetrics sa = simulateAccelerator(
-        AccelConfig::systolicArray(), t.dense);
+        AccelConfig::systolicArray(), t.dense, EnergyParams{}, 1000);
     EXPECT_TRUE(sa.tile_lengths.empty());
-    const RunMetrics fo =
-        simulateAccelerator(AccelConfig::focus(), t.focus);
-    EXPECT_FALSE(fo.tile_lengths.empty());
+    const RunMetrics fo = simulateAccelerator(
+        AccelConfig::focus(), t.focus, EnergyParams{}, 1000);
+    EXPECT_EQ(fo.tile_lengths.size(), 1000u);
+}
+
+TEST(AccelModel, DefaultCallAllocatesNoTileLog)
+{
+    // Everything but the Fig. 13 bench runs at the default cap: a
+    // SIC-heavy run must not allocate a log at all, on either
+    // backend.
+    Traces t;
+    for (const SimBackend backend :
+         {SimBackend::Walk, SimBackend::Fast}) {
+        const SimBackend saved = activeSimBackend();
+        setSimBackend(backend);
+        const RunMetrics fo =
+            simulateAccelerator(AccelConfig::focus(), t.focus);
+        setSimBackend(saved);
+        EXPECT_TRUE(fo.tile_lengths.empty()) << simBackendName(backend);
+        EXPECT_EQ(fo.tile_lengths.capacity(), 0u)
+            << simBackendName(backend);
+    }
 }
 
 TEST(AccelModel, SecStallZeroAtPaperScale)
@@ -226,7 +245,7 @@ TEST(Area, BreakdownSharesMatchFig9c)
 
 /**
  * Hand-built single-layer trace whose one SIC GEMM draws more tile
- * lengths than the Fig. 13 recording cap (204,800 > 200,000 for the
+ * lengths than the Fig. 13 sample size (204,800 > 200,000 for the
  * Focus geometry: 2 m-tiles x 3200 n-tiles x 32 k-sub-tiles).
  */
 WorkloadTrace
@@ -258,14 +277,14 @@ capOvershootTrace()
 TEST(AccelModel, TileLengthRecordingStopsExactlyAtCap)
 {
     // A whole-batch insert used to overshoot the cap by up to one
-    // GEMM's worth of entries; the insert must now truncate exactly.
+    // GEMM's worth of entries; the log must stop exactly at the cap.
     const WorkloadTrace tr = capOvershootTrace();
     for (const SimBackend backend :
          {SimBackend::Walk, SimBackend::Fast}) {
         const SimBackend saved = activeSimBackend();
         setSimBackend(backend);
-        const RunMetrics rm =
-            simulateAccelerator(AccelConfig::focus(), tr);
+        const RunMetrics rm = simulateAccelerator(
+            AccelConfig::focus(), tr, EnergyParams{}, 200000);
         setSimBackend(saved);
         EXPECT_EQ(rm.tile_lengths.size(), 200000u)
             << simBackendName(backend);

@@ -24,6 +24,8 @@
 #include "obs/metrics.h"
 #include "obs/trace_span.h"
 #include "runtime/thread_pool.h"
+#include "sim/accel_model.h"
+#include "sim/systolic.h"
 #include "vlm/method.h"
 
 namespace focus
@@ -330,16 +332,40 @@ TEST(Obs, WorkCountersDeterministicAcrossThreadCounts)
     const Evaluator ev("Llava-OV", "MLVU", quick());
     const MethodConfig method = MethodConfig::focusFull();
 
+    // Cycle-model counters too: four simulations of the full trace
+    // fanned across the pool, one of them with a tile-length log.
+    constexpr int kSims = 4;
+    constexpr size_t kLogCap = 5000;
+    uint64_t gemm_events = 0;
     std::vector<std::vector<std::pair<std::string, uint64_t>>> runs;
     for (const int threads : {1, 4}) {
         MetricsRegistry::instance().resetAll();
         FunctionalCache::instance().clear(); // force recompute per run
         ThreadPool pool(threads);
-        ev.runFunctional(method, &pool);
+        const MethodEval eval = ev.runFunctional(method, &pool);
+        const WorkloadTrace trace = ev.buildFullTrace(method, eval);
+        pool.parallelFor(kSims, [&](int64_t i) {
+            simulateAccelerator(AccelConfig::focus(), trace,
+                                EnergyParams{}, i == 0 ? kLogCap : 0);
+        });
+        gemm_events = 0;
+        for (const LayerEvents &l : trace.layers) {
+            gemm_events += l.gemms.size();
+        }
         runs.push_back(MetricsRegistry::instance().counterValues(
             obs::CounterKind::Work));
     }
     FunctionalCache::instance().clear();
+
+    MetricsRegistry &reg = MetricsRegistry::instance();
+    const uint64_t hits = reg.counter("sim.timing_memo_hits").value();
+    const uint64_t misses =
+        reg.counter("sim.timing_memo_misses").value();
+    EXPECT_EQ(hits + misses, kSims * gemm_events);
+    if (activeSimBackend() == SimBackend::Fast) {
+        EXPECT_GT(hits, 0u);
+    }
+    EXPECT_EQ(reg.counter("sim.tile_log_entries").value(), kLogCap);
 
     ASSERT_FALSE(runs[0].empty());
     ASSERT_EQ(runs[0].size(), runs[1].size());

@@ -280,6 +280,31 @@ TEST(ServingSim, BatchOfOneIsBitIdenticalToEvaluatorSimulate)
     }
 }
 
+TEST(ServingSim, ReplayCarriesNoTileLog)
+{
+    // Serving costs compositions at the default log cap: neither the
+    // cached CompositionCost nor a BatchRecord or solo reference may
+    // hold (or have allocated) a Fig. 13 tile log.
+    QueueConfig q = smallOpenConfig(3);
+    q.mix.resize(1); // Focus class only
+    ServingSimulator sim(q, AccelConfig::focus(), smallEval());
+    SchedulerConfig sched;
+    sched.policy = BatchPolicy::Single;
+    sched.max_batch = 1;
+    const ServingReport rep = sim.run(sched);
+
+    const CompositionCost &cost = sim.costComposition(
+        {ServingSimulator::comboCode(sim.classCombo(0), false)}, 1, 1);
+    EXPECT_GT(cost.metrics.scatter_ops, 0.0); // SIC ran
+    EXPECT_EQ(cost.metrics.tile_lengths.capacity(), 0u);
+    EXPECT_EQ(sim.classSolo(0).tile_lengths.capacity(), 0u);
+    ASSERT_FALSE(rep.batches.empty());
+    for (const BatchRecord &b : rep.batches) {
+        EXPECT_EQ(b.metrics.cycles, cost.metrics.cycles);
+        EXPECT_EQ(b.metrics.tile_lengths.capacity(), 0u);
+    }
+}
+
 TEST(ServingSim, DeterministicAcrossThreadCounts)
 {
     const QueueConfig q = smallOpenConfig(6);

@@ -6,11 +6,15 @@
  * state — over randomized and degenerate GEMM shapes, every
  * architecture, empty and non-empty psi distributions, and whole
  * traces (including fused batches and the memoization path), at 1 and
- * 4 threads.
+ * 4 threads.  The tile-length log is checked at several rooms (0, 1,
+ * ending mid-window, past the draw count): both backends must stop at
+ * exactly the same entry, and no room may change a scalar or the
+ * sampler cursor.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -48,37 +52,67 @@ expectTimingEq(const GemmTiming &w, const GemmTiming &f,
     EXPECT_EQ(w.mac_ops, f.mac_ops) << what;
     EXPECT_EQ(w.scatter_ops, f.scatter_ops) << what;
     EXPECT_EQ(w.matcher_ops, f.matcher_ops) << what;
-    ASSERT_EQ(w.tile_lengths.size(), f.tile_lengths.size()) << what;
-    for (size_t i = 0; i < w.tile_lengths.size(); ++i) {
-        ASSERT_EQ(w.tile_lengths[i], f.tile_lengths[i])
-            << what << " tile_lengths[" << i << "]";
+}
+
+void
+expectLogEq(const std::vector<int64_t> &w, const std::vector<int64_t> &f,
+            const char *what)
+{
+    ASSERT_EQ(w.size(), f.size()) << what;
+    for (size_t i = 0; i < w.size(); ++i) {
+        ASSERT_EQ(w[i], f[i]) << what << " tile_lengths[" << i << "]";
     }
 }
 
 /**
  * Run one shape through both backends with independently-seeded
  * samplers over the same distribution and assert bit-identical
- * results plus identical final sampler cursors.
+ * results plus identical final sampler cursors — once per tile-log
+ * room: 0, 1, a room ending inside the second (m-tile, n-tile) draw
+ * window, half the draws, and more than the draw count.  Both logs
+ * must hold exactly min(room, draws) entries (none for dense input),
+ * and every room must give the room-0 scalars and cursor.
  */
 void
 checkShape(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
            const std::vector<double> *dist, double mean,
            bool sic_input, bool gather_out)
 {
-    FracSampler psi_w(dist, mean);
-    FracSampler psi_f(dist, mean);
-    const GemmTiming w =
-        timeGemmWalk(cfg, m, k, n, psi_w, sic_input, gather_out);
-    const GemmTiming f =
-        timeGemmFast(cfg, m, k, n, psi_f, sic_input, gather_out);
-    char what[128];
+    char what[160];
     std::snprintf(what, sizeof(what),
                   "m=%lld k=%lld n=%lld sic=%d gather=%d dist=%zu",
                   static_cast<long long>(m), static_cast<long long>(k),
                   static_cast<long long>(n), sic_input ? 1 : 0,
                   gather_out ? 1 : 0, dist != nullptr ? dist->size() : 0);
-    expectTimingEq(w, f, what);
-    EXPECT_EQ(psi_w.cursor(), psi_f.cursor()) << what;
+    FracSampler psi_ref(dist, mean);
+    const GemmTiming ref =
+        timeGemmWalk(cfg, m, k, n, psi_ref, sic_input, gather_out);
+    const uint64_t draws =
+        sic_input ? timeGemmDraws(cfg, m, k, n) : 0;
+    const uint64_t k_subs = k > 0
+        ? static_cast<uint64_t>((k + cfg.array_rows - 1) /
+                                cfg.array_rows)
+        : 0;
+    const uint64_t rooms[] = {0, 1, k_subs + (k_subs + 1) / 2,
+                              draws / 2, draws + 5};
+    for (const uint64_t room : rooms) {
+        FracSampler psi_w(dist, mean);
+        FracSampler psi_f(dist, mean);
+        std::vector<int64_t> log_w, log_f;
+        const GemmTiming w = timeGemmWalk(cfg, m, k, n, psi_w, sic_input,
+                                          gather_out, &log_w, room);
+        const GemmTiming f = timeGemmFast(cfg, m, k, n, psi_f, sic_input,
+                                          gather_out, &log_f, room);
+        char at[200];
+        std::snprintf(at, sizeof(at), "%s room=%llu", what,
+                      static_cast<unsigned long long>(room));
+        expectTimingEq(w, f, at);
+        expectTimingEq(ref, w, at);
+        EXPECT_EQ(psi_w.cursor(), psi_f.cursor()) << at;
+        EXPECT_EQ(psi_ref.cursor(), psi_w.cursor()) << at;
+        EXPECT_EQ(log_w.size(), std::min(room, draws)) << at;
+        expectLogEq(log_w, log_f, at);
+    }
 }
 
 std::vector<AccelConfig>
@@ -148,6 +182,10 @@ TEST(SimEquiv, SamplerCursorContinuesAcrossCalls)
                                        0.6, 0.3};
     FracSampler psi_w(&fracs, 1.0);
     FracSampler psi_f(&fracs, 1.0);
+    // One log shared across the sequence, capped mid-way through the
+    // third GEMM's draws, as simulateAccelerator feeds it.
+    constexpr size_t kCap = 200;
+    std::vector<int64_t> log_w, log_f;
     const struct
     {
         int64_t m, k, n;
@@ -158,12 +196,16 @@ TEST(SimEquiv, SamplerCursorContinuesAcrossCalls)
                {7, 7, 7, true}};
     for (const auto &s : seq) {
         const GemmTiming w =
-            timeGemmWalk(cfg, s.m, s.k, s.n, psi_w, s.sic, false);
+            timeGemmWalk(cfg, s.m, s.k, s.n, psi_w, s.sic, false,
+                         &log_w, kCap - log_w.size());
         const GemmTiming f =
-            timeGemmFast(cfg, s.m, s.k, s.n, psi_f, s.sic, false);
+            timeGemmFast(cfg, s.m, s.k, s.n, psi_f, s.sic, false,
+                         &log_f, kCap - log_f.size());
         expectTimingEq(w, f, "sequence step");
+        expectLogEq(log_w, log_f, "sequence step");
         ASSERT_EQ(psi_w.cursor(), psi_f.cursor());
     }
+    EXPECT_EQ(log_w.size(), kCap);
 }
 
 TEST(SimEquiv, DrawCountMatchesWalkConsumption)
@@ -200,8 +242,9 @@ flatAggregate(int layers, double keep, double psi)
     return agg;
 }
 
+/** Every metric but the tile-length log. */
 void
-expectRunEq(const RunMetrics &w, const RunMetrics &f)
+expectRunScalarsEq(const RunMetrics &w, const RunMetrics &f)
 {
     EXPECT_EQ(w.cycles, f.cycles);
     EXPECT_EQ(w.stall_scatter, f.stall_scatter);
@@ -221,25 +264,35 @@ expectRunEq(const RunMetrics &w, const RunMetrics &f)
     EXPECT_EQ(w.ib_bytes, f.ib_bytes);
     EXPECT_EQ(w.wb_bytes, f.wb_bytes);
     EXPECT_EQ(w.ob_bytes, f.ob_bytes);
+    EXPECT_EQ(w.layer_cycles, f.layer_cycles);
     EXPECT_EQ(w.utilization, f.utilization);
     EXPECT_EQ(w.mean_input_frac, f.mean_input_frac);
     EXPECT_EQ(w.energy.total(), f.energy.total());
-    ASSERT_EQ(w.tile_lengths.size(), f.tile_lengths.size());
-    for (size_t i = 0; i < w.tile_lengths.size(); ++i) {
-        ASSERT_EQ(w.tile_lengths[i], f.tile_lengths[i])
-            << "tile_lengths[" << i << "]";
-    }
 }
 
+/** The Fig. 13 bench's sample size. */
+constexpr size_t kFig13Cap = 200000;
+
+/**
+ * Walk == fast with the Fig. 13 log cap, log included; and the fast
+ * run without a cap (the production default: no log, every SIC GEMM
+ * eligible for the memo) gives the same scalars.
+ */
 void
 checkTrace(const AccelConfig &cfg, const WorkloadTrace &trace)
 {
     BackendGuard guard;
     setSimBackend(SimBackend::Walk);
-    const RunMetrics w = simulateAccelerator(cfg, trace);
+    const RunMetrics w =
+        simulateAccelerator(cfg, trace, EnergyParams{}, kFig13Cap);
     setSimBackend(SimBackend::Fast);
-    const RunMetrics f = simulateAccelerator(cfg, trace);
-    expectRunEq(w, f);
+    const RunMetrics f =
+        simulateAccelerator(cfg, trace, EnergyParams{}, kFig13Cap);
+    expectRunScalarsEq(w, f);
+    expectLogEq(w.tile_lengths, f.tile_lengths, "trace");
+    const RunMetrics f0 = simulateAccelerator(cfg, trace);
+    expectRunScalarsEq(f, f0);
+    EXPECT_TRUE(f0.tile_lengths.empty());
 }
 
 class SimEquivThreads : public ::testing::TestWithParam<int>
@@ -294,6 +347,54 @@ TEST_P(SimEquivThreads, FusedTraceEquivalence)
     b.tile_fracs = {0.4, 0.9};
     const WorkloadTrace fused = fuseTraces({&a, &b});
     checkTrace(AccelConfig::focus(), fused);
+}
+
+TEST(SimEquiv, TraceLogCapLeavesScalarsUnchanged)
+{
+    // A cap ending inside one GEMM's draws, and caps of 1 and past
+    // the trace's draw count, on both backends: the log holds exactly
+    // min(cap, draws) entries, each a prefix of the longest, and the
+    // scalars match the uncapped run.
+    const ModelProfile mp = modelProfile("Llava-Vid");
+    const DatasetProfile dp = datasetProfile("VideoMME");
+    WorkloadTrace fo = buildTrace(mp, dp, MethodConfig::focusFull(),
+                                  flatAggregate(mp.layers, 0.3, 0.5));
+    fo.tile_fracs = {0.12, 0.93, 0.47, 0.71, 0.25, 0.66, 0.38};
+    // Three layers keep the full log small; the later two still
+    // repeat the first's geometry, so the fast backend serves them
+    // from its memo once a small cap is full.
+    fo.layers.resize(3);
+    uint64_t draws = 0;
+    for (const LayerEvents &l : fo.layers) {
+        for (const GemmEvent &g : l.gemms) {
+            if (g.psi_in < 1.0) {
+                draws += timeGemmDraws(AccelConfig::focus(), g.m, g.k,
+                                       g.n);
+            }
+        }
+    }
+    ASSERT_GT(draws, 12345u);
+    BackendGuard guard;
+    for (const SimBackend backend :
+         {SimBackend::Walk, SimBackend::Fast}) {
+        setSimBackend(backend);
+        const RunMetrics base =
+            simulateAccelerator(AccelConfig::focus(), fo);
+        const RunMetrics full = simulateAccelerator(
+            AccelConfig::focus(), fo, EnergyParams{}, draws + 7);
+        EXPECT_EQ(full.tile_lengths.size(), draws);
+        expectRunScalarsEq(base, full);
+        for (const size_t cap : {size_t{1}, size_t{12345}}) {
+            const RunMetrics rm = simulateAccelerator(
+                AccelConfig::focus(), fo, EnergyParams{}, cap);
+            expectRunScalarsEq(base, rm);
+            ASSERT_EQ(rm.tile_lengths.size(), cap);
+            EXPECT_TRUE(std::equal(rm.tile_lengths.begin(),
+                                   rm.tile_lengths.end(),
+                                   full.tile_lengths.begin()))
+                << simBackendName(backend) << " cap=" << cap;
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, SimEquivThreads,

@@ -52,13 +52,15 @@ TEST(Systolic, ConcentratedInputReducesCycles)
     FracSampler half = constSampler(0.5);
     const GemmTiming td =
         timeGemm(cfg, 1024, 3584, 3584, dense, false, false);
-    const GemmTiming th =
-        timeGemm(cfg, 1024, 3584, 3584, half, true, false);
+    std::vector<int64_t> log;
+    const GemmTiming th = timeGemm(cfg, 1024, 3584, 3584, half, true,
+                                   false, &log, 16);
     EXPECT_LT(th.cycles, td.cycles);
     EXPECT_NEAR(static_cast<double>(th.cycles),
                 0.5 * static_cast<double>(td.cycles),
                 0.2 * static_cast<double>(td.cycles));
-    EXPECT_FALSE(th.tile_lengths.empty());
+    ASSERT_EQ(log.size(), 16u);
+    EXPECT_EQ(log.front(), 512);
 }
 
 TEST(Systolic, ScatterStallsWithFewAccumulators)
@@ -147,12 +149,34 @@ TEST(Systolic, EmpiricalDistributionSampled)
     AccelConfig cfg = AccelConfig::focus();
     std::vector<double> fracs = {0.25, 0.75};
     FracSampler psi(&fracs, 1.0);
-    const GemmTiming t =
-        timeGemm(cfg, 2048, 64, 32, psi, true, false);
+    std::vector<int64_t> log;
+    timeGemm(cfg, 2048, 64, 32, psi, true, false, &log, 100);
     // Two m-tiles x two k-subtiles alternate 0.25/0.75 of 1024.
-    ASSERT_EQ(t.tile_lengths.size(), 4u);
-    EXPECT_EQ(t.tile_lengths[0], 256);
-    EXPECT_EQ(t.tile_lengths[1], 768);
+    ASSERT_EQ(log.size(), 4u);
+    EXPECT_EQ(log[0], 256);
+    EXPECT_EQ(log[1], 768);
+}
+
+TEST(Systolic, TileLogRoomBoundsAppendsNotTiming)
+{
+    // A sink without room (or no sink) records nothing; any room
+    // leaves the timing and the sampler exactly as without a log.
+    AccelConfig cfg = AccelConfig::focus();
+    std::vector<double> fracs = {0.25, 0.75, 0.5};
+    FracSampler psi0(&fracs, 1.0);
+    const GemmTiming t0 =
+        timeGemm(cfg, 3000, 4096, 1000, psi0, true, true);
+    for (const size_t room : {size_t{0}, size_t{1}, size_t{1000}}) {
+        FracSampler psi(&fracs, 1.0);
+        std::vector<int64_t> log;
+        const GemmTiming t = timeGemm(cfg, 3000, 4096, 1000, psi, true,
+                                      true, &log, room);
+        EXPECT_EQ(log.size(), room);
+        EXPECT_EQ(t.cycles, t0.cycles);
+        EXPECT_EQ(t.stall_scatter, t0.stall_scatter);
+        EXPECT_EQ(t.mac_ops, t0.mac_ops);
+        EXPECT_EQ(psi.cursor(), psi0.cursor());
+    }
 }
 
 TEST(Systolic, SecSorterOverlappedAtPaperDims)
